@@ -16,13 +16,17 @@ class TailNotBounded(EulerSumError, ArithmeticError):
 class NoEulerSum(EulerSumError, ArithmeticError):
     """The t -> 1 limit does not exist or cannot be extracted numerically.
 
-    Carries the partial evaluation trace so callers can report how far the
-    schedule got before the failure was declared.
+    Carries the AbelEvaluations made before the failure was declared, so
+    callers can report how far the schedule got (``trace``: (t, value) pairs).
     """
 
-    def __init__(self, message: str, trace=None):
+    def __init__(self, message: str, evaluations=None):
         super().__init__(message)
-        self.trace = list(trace) if trace is not None else []
+        self.evaluations = list(evaluations) if evaluations is not None else []
+
+    @property
+    def trace(self) -> list:
+        return [(e.t, e.value) for e in self.evaluations]
 
 
 class DomainError(EulerSumError, ValueError):

@@ -20,6 +20,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Optional
 
@@ -29,7 +30,8 @@ from . import oscillator as osc
 from . import square_well as sw
 from .errors import EulerSumError, InvalidConfig, NoEulerSum
 from .quadrature import QuadratureSpec
-from .resummation import EulerLimitConfig, INNER_TOL_FACTOR, abel_eval, euler_limit
+# abel_eval is unused here; it stays bound because perfbench/spans.py rebinds harness.abel_eval.
+from .resummation import EulerLimitConfig, abel_eval, euler_limit
 from .zeta import alternating_sequence, plain_sequence, reference_value
 
 SUBCOMMANDS = (
@@ -80,8 +82,15 @@ class RunConfig:
             raise InvalidConfig("t-ratio must lie in (0, 1)")
         if self.k_max is not None and not 0 <= self.k_max <= 60:
             raise InvalidConfig("k-max must lie in [0, 60]")
-        if self.tolerance <= 0.0:
-            raise InvalidConfig("tolerance must be positive")
+        if not 0.0 < self.tolerance < math.inf:
+            raise InvalidConfig("tolerance must be finite and positive")
+        for key in {"s", "x", "y", "a", "b"} & self.params.keys():
+            try:
+                finite = math.isfinite(float(self.params[key]))
+            except (TypeError, ValueError):
+                finite = False
+            if not finite:
+                raise InvalidConfig(f"--{key} must be a finite number")
         if self.output_format not in ("csv", "json"):
             raise InvalidConfig(f"unknown output format {self.output_format!r}")
 
@@ -202,25 +211,18 @@ def _run_zeta(config: RunConfig):
         tolerance=config.tolerance,
     )
     ref = reference_value(s)
-    inner_tol = cfg.tolerance / INNER_TOL_FACTOR
 
-    def rows_from(trace):
-        out = []
-        for k, (t_k, f_k) in enumerate(trace):
-            start = time.perf_counter()
-            abel_eval(seq, t_k, inner_tol)
-            wall = (time.perf_counter() - start) * 1e3
-            out.append(_row(k, t_k, f_k, ref, wall))
-        return out
+    def rows_from(evaluations):
+        return [_row(k, e.t, e.value, ref, e.wall_ms) for k, e in enumerate(evaluations)]
 
     try:
         res = euler_limit(seq, cfg)
     except NoEulerSum as exc:
-        return rows_from(exc.trace), {
+        return rows_from(exc.evaluations), {
             "verdict": "NoEulerSum",
             "detail": str(exc),
         }, 2
-    rows = rows_from(res.trace)
+    rows = rows_from(res.evaluations)
     verdict = "converged" if res.converged else "unconverged"
     return rows, {
         "value": res.value,
@@ -420,8 +422,8 @@ def run(config: RunConfig) -> int:
     except InvalidConfig:
         raise
     except EulerSumError as exc:
-        partial = getattr(exc, "trace", None) or []
-        rows = [_row(k, t_k, f_k, None, 0.0) for k, (t_k, f_k) in enumerate(partial)]
+        partial = getattr(exc, "evaluations", None) or []
+        rows = [_row(k, e.t, e.value, None, e.wall_ms) for k, e in enumerate(partial)]
         summary = {"verdict": type(exc).__name__, "detail": str(exc)}
         status = 2
     write_rows(config.resolved_output, rows, config.output_format)
@@ -448,6 +450,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="escalate soft numerical warnings to exit status 2")
 
 
+@lru_cache(maxsize=None)  # built once: parse_args keeps no state on the parser
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="eulersum", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="subcommand", required=True)

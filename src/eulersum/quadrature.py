@@ -9,6 +9,7 @@ within the tolerance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
@@ -31,8 +32,8 @@ class QuadratureSpec:
             raise InvalidConfig("nodes_per_panel must be at least 2")
         if self.max_refinements < 1:
             raise InvalidConfig("max_refinements must be at least 1")
-        if self.tolerance <= 0.0:
-            raise InvalidConfig("tolerance must be positive")
+        if not 0.0 < self.tolerance < math.inf:
+            raise InvalidConfig("tolerance must be finite and positive")
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ divergent series are detected and reported rather than summed.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -23,7 +24,7 @@ from .errors import DomainError, InvalidConfig, NoEulerSum, TailNotBounded, TNot
 # Blocks start small and double so that fast-decaying series stop before
 # coefficients like 2^n are ever materialised at overflow-prone indices.
 _BLOCK_MIN = 128
-_BLOCK_MAX = 2048
+_BLOCK_MAX = 8192
 
 # Terms spent in a single Abel evaluation before giving up.  Near t = 1 the
 # required truncation grows like 1/(1 - t); the limit extractor stops its
@@ -58,12 +59,13 @@ class CoefficientSequence:
 
 @dataclass(frozen=True)
 class AbelEvaluation:
-    """Value of f(t) = sum(a_n t^n) with its truncation certificate."""
+    """Value of f(t) = sum(a_n t^n), its truncation certificate and wall time."""
 
     t: float
     value: float
     terms_used: int
     tail_bound: float
+    wall_ms: float
 
 
 @dataclass(frozen=True)
@@ -82,23 +84,27 @@ class EulerLimitConfig:
             raise InvalidConfig("k_max must be at least 1")
         if self.extrapolation_order < 1:
             raise InvalidConfig("extrapolation_order must be at least 1")
-        if self.tolerance <= 0.0:
-            raise InvalidConfig("tolerance must be positive")
+        if not 0.0 < self.tolerance < math.inf:
+            raise InvalidConfig("tolerance must be finite and positive")
 
 
 @dataclass(frozen=True)
 class EulerLimitResult:
     """Extrapolated limit with diagnostics.
 
-    ``trace`` holds the (t_k, f(t_k)) pairs actually evaluated, in
-    schedule order.  ``error_estimate`` is the difference of the last two
-    extrapolants; it is a residual, not a rigorous bound.
+    ``evaluations`` holds the AbelEvaluations made, in schedule order;
+    ``trace`` views them as (t_k, f(t_k)) pairs.  ``error_estimate`` is the
+    difference of the last two extrapolants, a residual, not a bound.
     """
 
     value: float
     error_estimate: float
     converged: bool
-    trace: list = field(default_factory=list)
+    evaluations: list = field(default_factory=list)
+
+    @property
+    def trace(self) -> list:
+        return [(e.t, e.value) for e in self.evaluations]
 
 
 def _coeff_block(seq: CoefficientSequence, idx: np.ndarray) -> np.ndarray:
@@ -143,9 +149,10 @@ def abel_eval(
     geometric certificate is unavailable there, so the plateau rule
     decides.  t < 0 or t > 1 raises TNotInUnitInterval.
     """
-    if tol <= 0.0:
-        raise InvalidConfig("tol must be positive")
-    if t < 0.0 or t > 1.0:
+    start = time.perf_counter()
+    if not 0.0 < tol < math.inf:
+        raise InvalidConfig("tol must be finite and positive")
+    if not 0.0 <= t <= 1.0:
         raise TNotInUnitInterval(f"t={t!r} outside [0, 1]")
     certified = seq.growth_hint is not None and t < 1.0
     gamma = seq.growth_hint if certified else 0.0
@@ -191,7 +198,8 @@ def abel_eval(
                 c_hat = max(c_hat, float(np.max(np.abs(coeffs[pos]) / idx[pos] ** gamma)))
             bound = _certified_tail(c_hat, gamma, n, t)
             if bound <= tol:
-                return AbelEvaluation(t=t, value=total + comp, terms_used=terms_used, tail_bound=bound)
+                return AbelEvaluation(t=t, value=total + comp, terms_used=terms_used,
+                                      tail_bound=bound, wall_ms=(time.perf_counter() - start) * 1e3)
         else:
             mags = np.abs(terms)
             below = mags < threshold
@@ -201,7 +209,8 @@ def abel_eval(
                 last_loud = int(np.nonzero(~below)[0][-1])
                 quiet_run = block - last_loud - 1
             if quiet_run >= 50:
-                return AbelEvaluation(t=t, value=total + comp, terms_used=terms_used, tail_bound=0.5 * tol)
+                return AbelEvaluation(t=t, value=total + comp, terms_used=terms_used,
+                                      tail_bound=0.5 * tol, wall_ms=(time.perf_counter() - start) * 1e3)
             block_max = float(np.max(mags))
             if block_max >= prev_block_max and block_max > threshold:
                 growth_strikes += 1
@@ -243,66 +252,62 @@ def euler_limit(
     cannot be extracted: the extrapolants more than double in magnitude
     three times in a row, |f(t_k)| exceeds 1/tolerance, or the schedule is
     exhausted without the extrapolant differences contracting.  The
-    exception carries the partial trace.
+    exception carries the evaluations made so far.
     """
     if cfg is None:
         cfg = EulerLimitConfig()
     inner_tol = cfg.tolerance / INNER_TOL_FACTOR
 
-    trace: list = []
+    evaluations: list = []
     us: list = []
-    fs: list = []
     extrapolants: list = []
     deltas: list = []
     scale = 1.0
-    last_terms = 0
 
     for k in range(cfg.k_max + 1):
         u_k = cfg.ratio ** k
         t_k = 1.0 - u_k
         if t_k >= 1.0:
             break  # float saturation of the schedule
-        if last_terms and last_terms / cfg.ratio > term_budget:
+        if evaluations and evaluations[-1].terms_used / cfg.ratio > term_budget:
             break  # next evaluation would exceed the term budget
         ev = abel_eval(seq, t_k, inner_tol, max_terms=term_budget)
-        last_terms = ev.terms_used
-        trace.append((t_k, ev.value))
+        evaluations.append(ev)
         us.append(u_k)
-        fs.append(ev.value)
         if k == 0:
             scale = max(1.0, abs(ev.value))
         if abs(ev.value) > 1.0 / cfg.tolerance:
             raise NoEulerSum(
                 f"|f(t)| = {abs(ev.value):.3e} exceeds 1/tolerance at t={t_k!r}; "
                 "the t -> 1 limit is unbounded",
-                trace=trace,
+                evaluations=evaluations,
             )
 
         w = min(cfg.extrapolation_order, len(us))
-        p = _neville_at_zero(us[-w:], fs[-w:])
+        p = _neville_at_zero(us[-w:], [e.value for e in evaluations[-w:]])
         extrapolants.append(p)
         if len(extrapolants) >= 2:
             d = abs(extrapolants[-1] - extrapolants[-2])
             deltas.append(d)
             if d <= cfg.tolerance:
-                return EulerLimitResult(value=p, error_estimate=d, converged=True, trace=trace)
+                return EulerLimitResult(value=p, error_estimate=d, converged=True, evaluations=evaluations)
         if len(extrapolants) >= 4:
             m0, m1, m2, m3 = (abs(q) for q in extrapolants[-4:])
             if m1 > 2.0 * m0 and m2 > 2.0 * m1 and m3 > 2.0 * m2 and m3 > 10.0 * scale:
                 raise NoEulerSum(
                     f"extrapolants grew {m0:.3e} -> {m3:.3e} over three steps; "
                     "no finite t -> 1 limit",
-                    trace=trace,
+                    evaluations=evaluations,
                 )
 
     if len(deltas) >= 4 and deltas[-1] < 0.8 * deltas[-4]:
         # Still contracting, just not converged within the schedule.
         return EulerLimitResult(
-            value=extrapolants[-1], error_estimate=deltas[-1], converged=False, trace=trace
+            value=extrapolants[-1], error_estimate=deltas[-1], converged=False, evaluations=evaluations
         )
     last = f"{deltas[-1]:.3e}" if deltas else "n/a"
     raise NoEulerSum(
         f"extrapolants failed to contract over the schedule (last delta {last}); "
         "the series is outside plain Euler summability at this precision",
-        trace=trace,
+        evaluations=evaluations,
     )

@@ -61,7 +61,7 @@ def alternating_sequence(s: float) -> CoefficientSequence:
         return pref * (-1.0) ** (n + 1) * float(n) ** (-s)
 
     def term_block(idx: np.ndarray) -> np.ndarray:
-        sign = np.where(np.mod(idx, 2.0) == 1.0, 1.0, -1.0)
+        sign = 1.0 - 2.0 * ((idx.astype(np.int64) & 1) == 0)
         return pref * sign * idx ** (-s)
 
     return CoefficientSequence(term=term, start_index=1, growth_hint=-s, term_block=term_block)
@@ -91,8 +91,8 @@ def zeta_direct(s: float, tol: float) -> float:
     the first-derivative term; the remainder is bounded by twice the next
     term of the expansion, and N is chosen so that bound is <= tol.
     """
-    if tol <= 0.0:
-        raise InvalidConfig("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise InvalidConfig("tol must be finite and positive")
     if s <= 1.0:
         raise DomainError(f"direct summation diverges for s={s!r} <= 1")
     a = 16.0

@@ -9,11 +9,15 @@ from pathlib import Path
 
 import pytest
 
+import eulersum.harness
+import eulersum.resummation
 from eulersum.errors import InvalidConfig
 from eulersum.harness import (
     ResultRow,
     RunConfig,
     SweepRow,
+    build_parser,
+    main,
     read_rows,
     run,
     sweep,
@@ -131,6 +135,81 @@ def test_bad_config_values():
         RunConfig(subcommand="zeta", k_max=61)
     with pytest.raises(InvalidConfig):
         RunConfig(subcommand="zeta", output_format="xml")
+    for tol in (0.0, math.nan, math.inf):
+        with pytest.raises(InvalidConfig):
+            RunConfig(subcommand="zeta", tolerance=tol)
+    for value in (math.nan, -math.inf, "abc", None):
+        with pytest.raises(InvalidConfig):
+            RunConfig(subcommand="well-delta", params={"x": value})
+
+
+def counting_abel_eval(monkeypatch):
+    """Record every AbelEvaluation the library makes, through either module
+    that binds abel_eval."""
+    made = []
+    original = eulersum.resummation.abel_eval
+
+    def counted(*args, **kwargs):
+        made.append(original(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(eulersum.resummation, "abel_eval", counted)
+    monkeypatch.setattr(eulersum.harness, "abel_eval", counted)
+    return made
+
+
+@pytest.mark.parametrize(
+    "argv, status",
+    [(["zeta", "--s", "-1"], 0), (["zeta", "--plain", "--s", "0"], 2)],
+)
+def test_zeta_rows_are_the_evaluations(tmp_path, monkeypatch, argv, status, capsys):
+    made = counting_abel_eval(monkeypatch)
+    out = tmp_path / "z.csv"
+    assert main([*argv, "--output", str(out)]) == status
+    rows = read_rows(str(out))
+    # one Abel evaluation per schedule point, and each row reports it
+    assert len(made) == len(rows) >= 2
+    for row, ev in zip(rows, made):
+        assert (row.t, row.value, row.wall_time_ms) == (ev.t, ev.value, ev.wall_ms)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["zeta", "--s", "-1", "--tol", "nan"],
+        ["zeta", "--s", "-1", "--tol", "inf"],
+        ["zeta", "--s", "-1", "--tol=-inf"],
+        ["zeta", "--s", "nan"],
+        ["zeta", "--s", "inf"],
+        ["well-delta", "--x", "nan"],
+        ["osc-hamiltonian", "--x=-inf"],
+        ["sweep", "--x", "1.0", "--y", "nan"],
+        ["well-integral", "--a", "nan"],
+        ["well-integral", "--b", "inf"],
+    ],
+)
+def test_cli_non_finite_input_is_a_usage_error(tmp_path, monkeypatch, argv, capsys):
+    made = counting_abel_eval(monkeypatch)
+    out = tmp_path / "r.csv"
+    assert main([*argv, "--output", str(out)]) == 1
+    assert "finite" in capsys.readouterr().err
+    assert not made and not out.exists()
+
+
+def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    out = str(tmp_path / "z.csv")
+    assert main(["zeta", "--plain", "--s", "0", "--output", out]) == 2
+    # --plain does not carry over: the alternating series converges
+    assert main(["zeta", "--s", "-1", "--output", out]) == 0
+    assert read_rows(out)[-1].value == pytest.approx(-1.0 / 12.0, abs=1e-2)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"s": 0.0, "k-max": 3}))
+    assert main(["zeta", "--config", str(cfg), "--output", out]) == 2
+    assert len(read_rows(out)) == 4
+    # nor do the file's values: without --config there is no --s
+    assert main(["zeta", "--output", out]) == 1
+    capsys.readouterr()
 
 
 # --- persistence ------------------------------------------------------------

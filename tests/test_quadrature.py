@@ -56,6 +56,8 @@ def test_refinement_metadata():
         {"nodes_per_panel": 1},
         {"max_refinements": 0},
         {"tolerance": -1.0},
+        {"tolerance": math.nan},
+        {"tolerance": math.inf},
     ],
 )
 def test_bad_spec_rejected(kwargs):

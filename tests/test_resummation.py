@@ -49,7 +49,7 @@ def test_square_well_growth_against_brute_force():
     assert ev.value == pytest.approx(oracle, abs=1e-8)
 
 
-@pytest.mark.parametrize("t", [-0.1, 1.5, 2.0])
+@pytest.mark.parametrize("t", [-0.1, 1.5, 2.0, math.nan])
 def test_t_outside_unit_interval_rejected(t):
     with pytest.raises(TNotInUnitInterval):
         abel_eval(geometric(0.5), t, 1e-8)
@@ -176,6 +176,24 @@ def test_no_euler_sum_carries_partial_trace():
         euler_limit(ones)
     assert len(excinfo.value.trace) >= 2
     assert excinfo.value.trace[0][0] == 0.0
+    evs = excinfo.value.evaluations
+    assert excinfo.value.trace == [(e.t, e.value) for e in evs]
+
+
+def test_result_trace_views_its_evaluations():
+    res = euler_limit(alternating_unit())
+    assert res.evaluations
+    assert res.trace == [(e.t, e.value) for e in res.evaluations]
+    for k, ev in enumerate(res.evaluations):
+        assert ev.t == 1.0 - 0.5 ** k
+        assert ev.tail_bound <= EulerLimitConfig().tolerance
+        assert ev.terms_used >= 1 and ev.wall_ms >= 0.0
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_abel_eval_rejects_non_finite_or_non_positive_tol(tol):
+    with pytest.raises(InvalidConfig):
+        abel_eval(geometric(0.5), 0.5, tol)
 
 
 @pytest.mark.parametrize(
@@ -186,6 +204,8 @@ def test_no_euler_sum_carries_partial_trace():
         {"k_max": 0},
         {"extrapolation_order": 0},
         {"tolerance": 0.0},
+        {"tolerance": math.nan},
+        {"tolerance": math.inf},
     ],
 )
 def test_bad_config_rejected(kwargs):

@@ -99,6 +99,30 @@ def test_alternating_sequence_terms():
     assert np.allclose(block, [-1.0, 1.0, -1.0])
 
 
+@pytest.mark.parametrize("s", [0.0, -1.0, -2.0, -3.0, -2.5, 0.5, 2.0, 3.7])
+def test_alternating_term_block_matches_term(s):
+    seq = alternating_sequence(s)
+    pref = 1.0 / (1.0 - 2.0 ** (1.0 - s))
+    ns = np.arange(1.0, 400.0)
+    big = np.array([2.0 ** 40 + 1, 2.0 ** 40 + 2, 2.0 ** 52 - 1, 2.0 ** 52])
+    for idx in (ns[::3], ns[1::2], ns[::2], ns[::-7], big):
+        assert not idx.flags.c_contiguous or idx is big
+        block = seq.term_block(idx)
+        scalar = np.array([seq.term(int(n)) for n in idx])
+        # the integer-parity sign is bit-identical to the float-modulus one
+        mod_sign = np.where(np.mod(idx, 2.0) == 1.0, 1.0, -1.0)
+        assert block.tobytes() == (pref * mod_sign * idx ** (-s)).tobytes()
+        # the sign is exact at every parity and magnitude
+        assert np.array_equal(np.signbit(block), np.signbit(scalar))
+        if s <= 0.0 and s == round(s):
+            # non-negative integer powers are exact, so the values are too
+            assert block.tobytes() == scalar.tobytes()
+        else:
+            # numpy's vectorised pow may differ from libm's by one ulp,
+            # which the prefactor can round to two
+            assert np.all(np.abs(block - scalar) <= 2.0 * np.spacing(np.abs(scalar)))
+
+
 def test_plain_sequence_is_all_ones_at_s_zero():
     seq = plain_sequence(0.0)
     assert [seq.term(n) for n in (1, 2, 5)] == [1.0, 1.0, 1.0]
