@@ -21,8 +21,10 @@ import sys
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import repeat
+from operator import itemgetter
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -57,9 +59,6 @@ _DEFAULT_K_MAX = {
     "mehler-check": 8,
     "sweep": 6,
 }
-
-_CSV_FIELDS = ("k", "t", "value", "reference", "abs_error", "wall_time_ms")
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -105,8 +104,7 @@ class RunConfig:
         return f"{self.subcommand}.{self.output_format}"
 
 
-@dataclass(frozen=True)
-class ResultRow:
+class ResultRow(NamedTuple):
     """One schedule point: t = 1 - r^k and the value computed there."""
 
     k: int
@@ -117,68 +115,79 @@ class ResultRow:
     wall_time_ms: float = 0.0
 
 
-@dataclass(frozen=True)
-class SweepRow(ResultRow):
-    """A ResultRow tagged with the grid point it was evaluated at."""
+class SweepRow(NamedTuple):
+    """A ResultRow's columns plus the grid point it was evaluated at."""
 
+    k: int
+    t: float
+    value: float
+    reference: Optional[float] = None
+    abs_error: Optional[float] = None
+    wall_time_ms: float = 0.0
     x: float = 0.0
     y: float = 0.0
 
 
-def _fmt_cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, int):
-        return str(v)
-    return repr(float(v))
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _format_column(name: str, col, none: str) -> list:
+    """Cells as text: k by str, None as ``none``, floats by repr so parsing
+    round-trips exactly.  In a long column each distinct bit pattern (-0.0
+    is not 0.0) is formatted once: sweep columns repeat a few t, x and y
+    values.  Below ~64 cells numpy's fixed cost exceeds the saving."""
+    if name == "k":
+        return list(map(str, col))
+    if len(col) < 64 or None in col:
+        return [none if v is None else repr(float(v)) for v in col]
+    bits, where = np.unique(np.fromiter(col, np.float64, len(col)).view(np.int64), return_inverse=True)
+    return np.array(list(map(float.__repr__, bits.view(np.float64).tolist())), dtype=object)[where].tolist()
 
 
 def write_rows(path: str, rows: list, output_format: str) -> None:
-    """Serialise rows; float cells use repr so parsing round-trips exactly."""
-    is_sweep = bool(rows) and isinstance(rows[0], SweepRow)
-    names = _CSV_FIELDS + (("x", "y") if is_sweep else ())
+    """Serialise rows column by column; float cells use repr so parsing
+    round-trips exactly.  JSON output equals json.dumps(indent=2,
+    sort_keys=True) of {"rows": [...]}."""
+    names = rows[0]._fields if rows else ResultRow._fields
+    cols = zip(*rows)
     if output_format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(names)
-        for r in rows:
-            writer.writerow([_fmt_cell(getattr(r, n)) for n in names])
-        text = buf.getvalue()
+        cells = [_format_column(n, c, "") for n, c in zip(names, cols)]
+        lines = [",".join(names), *map(",".join, zip(*cells))]
     else:
-        payload = {"rows": [{n: getattr(r, n) for n in names} for r in rows]}
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    Path(path).write_text(text, encoding="utf-8")
+        by_name = sorted(zip(names, cols))
+        cells = [_format_column(n, c, "null") for n, c in by_name]
+        cells = [list(map(_JSON_NON_FINITE.get, c, c)) for c in cells]
+        template = "    {\n" + ",\n".join(f'      "{n}": %s' for n, _ in by_name) + "\n    }"
+        body = ",\n".join(map(template.__mod__, zip(*cells)))
+        lines = ["{", '  "rows": [', body, "  ]", "}"] if rows else ["{", '  "rows": []', "}"]
+    Path(path).write_text("\n".join([*lines, ""]), encoding="utf-8")
+
+
+def _parse_column(name: str, col, none) -> list:
+    if name == "k":
+        return list(map(int, col))
+    try:
+        return list(map(float, col))
+    except (TypeError, ValueError):  # empty cells
+        return [None if v == none else float(v) for v in col]
 
 
 def read_rows(path: str) -> list:
     """Parse a result file back into ResultRow/SweepRow objects."""
     text = Path(path).read_text(encoding="utf-8")
-    records = []
     if text.lstrip().startswith("{"):
-        for rec in json.loads(text)["rows"]:
-            records.append(dict(rec))
+        recs = json.loads(text)["rows"]
+        names = list(recs[0]) if recs else ()
+        records, none = (list(map(itemgetter(*names), recs)) if recs else []), None
     else:
-        reader = csv.DictReader(io.StringIO(text))
-        for rec in reader:
-            records.append(
-                {k: (None if v == "" else v) for k, v in rec.items()}
-            )
-    rows = []
-    for rec in records:
-        cls = SweepRow if "x" in rec else ResultRow
-        kwargs = {
-            "k": int(rec["k"]),
-            "t": float(rec["t"]),
-            "value": float(rec["value"]),
-            "reference": None if rec.get("reference") is None else float(rec["reference"]),
-            "abs_error": None if rec.get("abs_error") is None else float(rec["abs_error"]),
-            "wall_time_ms": float(rec["wall_time_ms"]),
-        }
-        if cls is SweepRow:
-            kwargs["x"] = float(rec["x"])
-            kwargs["y"] = float(rec["y"])
-        rows.append(cls(**kwargs))
-    return rows
+        reader = csv.reader(io.StringIO(text))
+        names, records, none = next(reader, ()), list(reader), ""
+    if not records:
+        return []
+    cls = SweepRow if "x" in names else ResultRow
+    cols = dict(zip(names, zip(*records)))
+    columns = (_parse_column(n, cols.get(n, (none,) * len(records)), none) for n in cls._fields)
+    return list(map(tuple.__new__, repeat(cls), zip(*columns)))  # cls._make without its checks
 
 
 def _schedule(config: RunConfig, k_start: int = 1) -> list:
@@ -336,51 +345,49 @@ def _run_mehler_check(config: RunConfig):
 
 
 _SWEEP_KERNELS = {
-    "well": lambda x, y, t: float(sw._k(x, y, t)),
-    "well-h": lambda x, y, t: float(sw._h(x, y, t)),
-    "osc": lambda x, y, t: float(osc._mehler(x, y, t)),
-    "osc-h": lambda x, y, t: float(osc._osc_h_y_route(x, y, t)),
+    "well": sw._k,
+    "well-h": sw._h,
+    "osc": osc._mehler,
+    "osc-h": osc._osc_h_y_route,
 }
 
 
-def sweep(config: RunConfig, grid: list) -> list:
-    """Evaluate the selected kernel on every grid point for each t in the
-    schedule; rows are ordered by (point index, k)."""
-    if not grid:
+def sweep(config: RunConfig, grid) -> list:
+    """Evaluate the selected kernel on every grid point (x, y) for each t in
+    the schedule, one array call per t over the whole grid; rows are ordered
+    by (point index, k), and a row's wall_time_ms is its share of that call."""
+    if len(grid) == 0:
         raise InvalidConfig("sweep grid must be nonempty")
     kernel_name = str(config.params.get("kernel", "well"))
     if kernel_name not in _SWEEP_KERNELS:
         raise InvalidConfig(f"unknown sweep kernel {kernel_name!r}")
-    kernel = _SWEEP_KERNELS[kernel_name]
-    rows = []
-    for x, y in grid:
-        for k in range(0, config.resolved_k_max + 1):
-            t_k = 1.0 - config.t_ratio ** k
-            start = time.perf_counter()
-            value = kernel(float(x), float(y), t_k)
-            wall = (time.perf_counter() - start) * 1e3
-            rows.append(
-                SweepRow(k=k, t=t_k, value=value, reference=None, abs_error=None,
-                         wall_time_ms=wall, x=float(x), y=float(y))
-            )
-    return rows
+    points = np.asarray(grid, dtype=np.float64)
+    lo, hi = (0.0, sw.PI) if kernel_name.startswith("well") else (-math.inf, math.inf)
+    if not np.all(np.isfinite(points) & (lo <= points) & (points <= hi)):
+        raise InvalidConfig(f"sweep --kernel {kernel_name} needs finite x, y in [{lo:g}, {hi:g}]")
+    xs, ys = points.T
+    n, nk = xs.size, config.resolved_k_max + 1
+    ts, walls, values = [], [], np.empty((n, nk))
+    for k in range(nk):
+        ts.append(1.0 - config.t_ratio ** k)
+        start = time.perf_counter()
+        values[:, k] = _SWEEP_KERNELS[kernel_name](xs, ys, ts[-1])
+        walls.append((time.perf_counter() - start) * 1e3 / n)
+    columns = ([*range(nk)] * n, ts * n, values.ravel().tolist(), repeat(None), repeat(None), walls * n,
+               np.repeat(xs, nk).tolist(), np.repeat(ys, nk).tolist())
+    return list(map(tuple.__new__, repeat(SweepRow), zip(*columns)))
 
 
-def _sweep_grid(config: RunConfig) -> list:
+def _sweep_grid(config: RunConfig):
     if "x" in config.params and "y" in config.params:
         return [(float(config.params["x"]), float(config.params["y"]))]
     nx = int(config.params.get("nx", 50))
     ny = int(config.params.get("ny", 50))
     if nx < 1 or ny < 1:
         raise InvalidConfig("grid resolution must be positive")
-    kernel_name = str(config.params.get("kernel", "well"))
-    if kernel_name.startswith("well"):
-        xs = np.linspace(0.0, sw.PI, nx)
-        ys = np.linspace(0.0, sw.PI, ny)
-    else:
-        xs = np.linspace(-3.0, 3.0, nx)
-        ys = np.linspace(-3.0, 3.0, ny)
-    return [(float(x), float(y)) for x in xs for y in ys]
+    lo, hi = (0.0, sw.PI) if str(config.params.get("kernel", "well")).startswith("well") else (-3.0, 3.0)
+    xs, ys = np.meshgrid(np.linspace(lo, hi, nx), np.linspace(lo, hi, ny), indexing="ij")
+    return np.column_stack([xs.ravel(), ys.ravel()])
 
 
 def _run_sweep(config: RunConfig):
@@ -503,34 +510,35 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         if not isinstance(file_values, dict):
             raise InvalidConfig("config file must hold a flat JSON object")
 
-    def pick(flag: str, default):
-        cli = getattr(args, flag.replace("-", "_"), None)
-        if cli is not None:
-            return cli
-        if flag in file_values:
-            return file_values[flag]
-        return default
+    def pick(flag: str, default, convert=None):
+        value = getattr(args, flag.replace("-", "_"), None)
+        if value is None:
+            value = file_values.get(flag, default)
+        if value is None or convert is None:
+            return value
+        try:
+            return convert(value)
+        except (TypeError, ValueError, OverflowError):
+            raise InvalidConfig(f"{flag} must be {convert.__name__}, got {value!r}") from None
 
-    quad_kwargs = {}
-    if pick("quad-nodes", None) is not None:
-        quad_kwargs["nodes_per_panel"] = int(pick("quad-nodes", 64))
-    if "quad-tolerance" in file_values:
-        quad_kwargs["tolerance"] = float(file_values["quad-tolerance"])
-    if "quad-refinements" in file_values:
-        quad_kwargs["max_refinements"] = int(file_values["quad-refinements"])
-
+    quad_kwargs = {
+        name: pick(flag, None, convert)
+        for flag, name, convert in (("quad-nodes", "nodes_per_panel", int),
+                                    ("quad-tolerance", "tolerance", float),
+                                    ("quad-refinements", "max_refinements", int))
+    }
     params = {}
     for key in _PARAM_KEYS:
-        value = pick(key, None)
+        value = pick(key, None, int if key in ("nx", "ny") else None)
         if value is not None:
             params[key] = value
 
     return RunConfig(
         subcommand=args.subcommand,
-        t_ratio=float(pick("t-ratio", 0.5)),
-        k_max=None if pick("k-max", None) is None else int(pick("k-max", None)),
-        tolerance=float(pick("tol", 1e-8)),
-        quadrature=QuadratureSpec(**quad_kwargs),
+        t_ratio=pick("t-ratio", 0.5, float),
+        k_max=pick("k-max", None, int),
+        tolerance=pick("tol", 1e-8, float),
+        quadrature=QuadratureSpec(**{k: v for k, v in quad_kwargs.items() if v is not None}),
         output_path=pick("output", None),
         output_format=str(pick("format", "csv")),
         strict=bool(pick("strict", False)),

@@ -28,8 +28,8 @@ class QuadratureSpec:
     tolerance: float = 1e-9
 
     def __post_init__(self):
-        if self.nodes_per_panel < 2:
-            raise InvalidConfig("nodes_per_panel must be at least 2")
+        if not 2 <= self.nodes_per_panel <= 1024:  # leggauss(n) builds an n x n matrix
+            raise InvalidConfig("nodes_per_panel must lie in [2, 1024]")
         if self.max_refinements < 1:
             raise InvalidConfig("max_refinements must be at least 1")
         if not 0.0 < self.tolerance < math.inf:

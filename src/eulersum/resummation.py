@@ -18,7 +18,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, InvalidConfig, NoEulerSum, TailNotBounded, TNotInUnitInterval
+from .errors import (DomainError, EulerSumError, InvalidConfig, NoEulerSum, TailNotBounded,
+                     TNotInUnitInterval)
 
 # Evaluation proceeds in vectorised blocks; bounds are re-checked per block.
 # Blocks start small and double so that fast-decaying series stop before
@@ -251,8 +252,9 @@ def euler_limit(
     Raises NoEulerSum when the limit demonstrably fails to exist or
     cannot be extracted: the extrapolants more than double in magnitude
     three times in a row, |f(t_k)| exceeds 1/tolerance, or the schedule is
-    exhausted without the extrapolant differences contracting.  The
-    exception carries the evaluations made so far.
+    exhausted without the extrapolant differences contracting.  That
+    exception, and any EulerSumError raised by abel_eval, carries the
+    evaluations made so far as ``evaluations``.
     """
     if cfg is None:
         cfg = EulerLimitConfig()
@@ -271,7 +273,11 @@ def euler_limit(
             break  # float saturation of the schedule
         if evaluations and evaluations[-1].terms_used / cfg.ratio > term_budget:
             break  # next evaluation would exceed the term budget
-        ev = abel_eval(seq, t_k, inner_tol, max_terms=term_budget)
+        try:
+            ev = abel_eval(seq, t_k, inner_tol, max_terms=term_budget)
+        except EulerSumError as exc:
+            exc.evaluations = evaluations
+            raise
         evaluations.append(ev)
         us.append(u_k)
         if k == 0:

@@ -97,10 +97,6 @@ def phi_well(n: int, x: float) -> float:
     return math.sqrt(2.0 / PI) * math.sin(n * x)
 
 
-def _phi_well_arr(n: int, y: np.ndarray) -> np.ndarray:
-    return math.sqrt(2.0 / PI) * np.sin(n * y)
-
-
 def _d(z: ArrayLike, t: float) -> ArrayLike:
     # 1 - 2 t cos z + t^2 and 1 - t cos z rewritten to avoid cancellation
     # near z = 0, t -> 1.

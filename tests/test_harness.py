@@ -7,11 +7,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import eulersum.harness
 import eulersum.resummation
-from eulersum.errors import InvalidConfig
+from eulersum.errors import InvalidConfig, TailNotBounded
 from eulersum.harness import (
     ResultRow,
     RunConfig,
@@ -23,7 +26,8 @@ from eulersum.harness import (
     sweep,
     write_rows,
 )
-from eulersum.square_well import d_kernel
+from eulersum.oscillator import MehlerPoint, mehler_kernel, osc_h_kernel
+from eulersum.square_well import WellKernelPoint, d_kernel, h_kernel, k_kernel
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -212,6 +216,60 @@ def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv, values",
+    [
+        (["zeta", "--s", "0"], {"k-max": "x"}),
+        (["zeta", "--s", "0"], {"tol": "x"}),
+        (["zeta", "--s", "0"], {"t-ratio": "x"}),
+        (["zeta", "--s", "0"], {"k-max": 1e999}),
+        (["osc-delta"], {"quad-nodes": "x"}),
+        (["osc-delta"], {"quad-tolerance": [1e-9]}),
+        (["osc-delta"], {"quad-refinements": "x"}),
+        (["sweep"], {"nx": "x"}),
+        (["sweep"], {"ny": None, "nx": [3]}),
+    ],
+)
+def test_config_file_type_errors_are_usage_errors(tmp_path, argv, values, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(values))
+    out = tmp_path / "r.csv"
+    assert main([*argv, "--config", str(cfg), "--output", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_tail_not_bounded_keeps_the_rows_made(tmp_path, monkeypatch, capsys):
+    made = []
+    original = eulersum.resummation.abel_eval
+
+    def failing_after_three(*args, **kwargs):
+        if len(made) == 3:
+            raise TailNotBounded("injected after three points")
+        made.append(original(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(eulersum.resummation, "abel_eval", failing_after_three)
+    out = tmp_path / "z.csv"
+    assert main(["zeta", "--s", "-2", "--tol", "1e-12", "--output", str(out)]) == 2
+    assert "verdict=TailNotBounded" in capsys.readouterr().out
+    rows = read_rows(str(out))
+    assert [(r.k, r.t, r.value, r.wall_time_ms) for r in rows] == [
+        (k, e.t, e.value, e.wall_ms) for k, e in enumerate(made)
+    ]
+
+
+def test_huge_quad_nodes_rejected_before_any_rule_is_built(tmp_path, monkeypatch, capsys):
+    def no_rule(n):
+        raise AssertionError(f"leggauss({n}) called")
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", no_rule)
+    out = tmp_path / "od.csv"
+    assert main(["osc-delta", "--quad-nodes", str(10 ** 12), "--output", str(out)]) == 1
+    assert "nodes_per_panel" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- persistence ------------------------------------------------------------
 
 
@@ -234,6 +292,62 @@ def test_sweep_rows_round_trip(tmp_path, fmt):
     path = tmp_path / f"sweep.{fmt}"
     write_rows(str(path), rows, fmt)
     assert read_rows(str(path)) == rows
+
+
+def same_rows(a, b):
+    """Row lists equal field by field, telling -0.0 from 0.0 and nan from None."""
+    return [(type(r), tuple(map(repr, r))) for r in a] == [(type(r), tuple(map(repr, r))) for r in b]
+
+
+cell_floats = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-300, -1e-300]),
+)
+optional_floats = st.one_of(st.none(), cell_floats)
+result_rows = st.builds(ResultRow, st.integers(0, 10 ** 6), cell_floats, cell_floats,
+                        optional_floats, optional_floats, cell_floats)
+sweep_rows = st.builds(SweepRow, st.integers(0, 10 ** 6), cell_floats, cell_floats,
+                       optional_floats, optional_floats, cell_floats, cell_floats, cell_floats)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=st.one_of(st.lists(result_rows, max_size=8), st.lists(sweep_rows, max_size=8)),
+       copies=st.sampled_from([1, 70]), fmt=st.sampled_from(["csv", "json"]))
+def test_rows_round_trip_property(tmp_path, rows, copies, fmt):
+    rows = rows * copies  # long columns of repeated values take the deduplicating formatter
+    path = tmp_path / f"rows.{fmt}"
+    write_rows(str(path), rows, fmt)
+    assert same_rows(read_rows(str(path)), rows)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [
+            ResultRow(k=0, t=0.0, value=-0.0, reference=None, abs_error=None, wall_time_ms=0.25),
+            ResultRow(k=1, t=0.5, value=math.nan, reference=math.inf, abs_error=-math.inf),
+            ResultRow(k=2, t=0.75, value=0.0, reference=1.0 / 3.0, abs_error=5e-324, wall_time_ms=1e-300),
+        ],
+        [
+            SweepRow(k=0, t=0.0, value=-0.0, wall_time_ms=0.25, x=0.0, y=math.pi),
+            SweepRow(k=1, t=0.5, value=math.nan, reference=math.inf, abs_error=None, x=-3.0),
+            SweepRow(k=2, t=0.75, value=np.float64(0.0), abs_error=5e-324, wall_time_ms=1e17, y=2.5),
+        ],
+    ],
+)
+@pytest.mark.parametrize("copies", [1, 30])
+def test_json_text_is_json_dumps(tmp_path, rows, copies):
+    rows = rows * copies
+    path = tmp_path / "rows.json"
+    write_rows(str(path), rows, "json")
+    expected = json.dumps({"rows": [r._asdict() for r in rows]}, indent=2, sort_keys=True) + "\n"
+    assert path.read_text() == expected
+
+
+def test_missing_optional_columns_read_as_none(tmp_path):
+    path = tmp_path / "rows.csv"
+    path.write_text("k,t,value,wall_time_ms\n1,0.5,-0.0,2.0\n")
+    assert same_rows(read_rows(str(path)), [ResultRow(k=1, t=0.5, value=-0.0, wall_time_ms=2.0)])
 
 
 def test_determinism_excluding_wall_time(tmp_path):
@@ -314,6 +428,56 @@ def test_sweep_single_point_via_flags(tmp_path):
 def test_sweep_rejects_empty_grid():
     with pytest.raises(InvalidConfig):
         sweep(RunConfig(subcommand="sweep"), [])
+
+
+_POINT_KERNELS = {
+    "well": lambda x, y, t: k_kernel(WellKernelPoint(x=x, y=y, t=t)),
+    "well-h": lambda x, y, t: h_kernel(WellKernelPoint(x=x, y=y, t=t)),
+    "osc": lambda x, y, t: mehler_kernel(MehlerPoint(x=x, y=y, t=t)),
+    "osc-h": lambda x, y, t: osc_h_kernel(MehlerPoint(x=x, y=y, t=t)),
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(_POINT_KERNELS))
+def test_sweep_matches_the_scalar_public_kernels(kernel):
+    config = RunConfig(subcommand="sweep", k_max=5, params={"kernel": kernel, "nx": 4, "ny": 3})
+    rows = sweep(config, eulersum.harness._sweep_grid(config))
+    assert len(rows) == 4 * 3 * 6
+    for row in rows:
+        point = _POINT_KERNELS[kernel](row.x, row.y, row.t)
+        assert row.value == pytest.approx(point, rel=1e-12, abs=1e-12)
+    # every row of one t carries the same share of that t's kernel call
+    for k in range(6):
+        walls = {r.wall_time_ms for r in rows if r.k == k}
+        assert len(walls) == 1 and walls.pop() >= 0.0
+
+
+@pytest.mark.parametrize(
+    "kernel, bad",
+    [
+        ("well", (5.0, 1.0)),
+        ("well", (1.0, -1e-9)),
+        ("well-h", (math.pi + 1e-9, 0.5)),
+        ("well-h", (math.nan, 0.5)),
+        ("osc", (0.5, math.nan)),
+        ("osc-h", (math.inf, 0.0)),
+    ],
+)
+def test_sweep_rejects_points_outside_the_kernel_domain(monkeypatch, kernel, bad):
+    def no_call(*args):
+        raise AssertionError("kernel called")
+
+    monkeypatch.setitem(eulersum.harness._SWEEP_KERNELS, kernel, no_call)
+    config = RunConfig(subcommand="sweep", k_max=2, params={"kernel": kernel})
+    with pytest.raises(InvalidConfig):
+        sweep(config, [(0.5, 0.5), bad])
+
+
+def test_cli_sweep_out_of_domain_point_exits_one(tmp_path, capsys):
+    out = tmp_path / "pt.csv"
+    assert main(["sweep", "--kernel", "well", "--x", "5", "--y", "1", "--output", str(out)]) == 1
+    assert "[0, 3.14159]" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_row_order():

@@ -58,11 +58,17 @@ def test_refinement_metadata():
         {"tolerance": -1.0},
         {"tolerance": math.nan},
         {"tolerance": math.inf},
+        {"nodes_per_panel": 1025},
+        {"nodes_per_panel": 10 ** 12},
     ],
 )
 def test_bad_spec_rejected(kwargs):
     with pytest.raises(InvalidConfig):
         QuadratureSpec(**kwargs)
+
+
+def test_largest_node_count_accepted():
+    assert QuadratureSpec(nodes_per_panel=1024).nodes_per_panel == 1024
 
 
 def test_empty_interval_rejected():

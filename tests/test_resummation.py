@@ -180,6 +180,24 @@ def test_no_euler_sum_carries_partial_trace():
     assert excinfo.value.trace == [(e.t, e.value) for e in evs]
 
 
+def test_abel_eval_failure_carries_the_evaluations_made(monkeypatch):
+    import eulersum.resummation as rs
+
+    made = []
+
+    def failing_after_three(*args, **kwargs):
+        if len(made) == 3:
+            raise TailNotBounded("injected after three points")
+        made.append(original(*args, **kwargs))
+        return made[-1]
+
+    original = rs.abel_eval
+    monkeypatch.setattr(rs, "abel_eval", failing_after_three)
+    with pytest.raises(TailNotBounded) as excinfo:
+        euler_limit(alternating_unit(), EulerLimitConfig(tolerance=1e-14))
+    assert excinfo.value.evaluations == made
+
+
 def test_result_trace_views_its_evaluations():
     res = euler_limit(alternating_unit())
     assert res.evaluations
