@@ -9,6 +9,12 @@ class TNotInUnitInterval(EulerSumError, ValueError):
     """Regulator parameter t lies outside the allowed unit interval."""
 
 
+def check_t(t: float) -> None:
+    """Raise TNotInUnitInterval unless the regulator t lies in [0, 1)."""
+    if not 0.0 <= t < 1.0:
+        raise TNotInUnitInterval(f"t={t!r} outside [0, 1)")
+
+
 class TailNotBounded(EulerSumError, ArithmeticError):
     """A series tail could not be certified below the requested tolerance."""
 

@@ -36,29 +36,10 @@ from .quadrature import QuadratureSpec
 from .resummation import EulerLimitConfig, abel_eval, euler_limit
 from .zeta import alternating_sequence, plain_sequence, reference_value
 
-SUBCOMMANDS = (
-    "zeta",
-    "well-delta",
-    "well-hamiltonian",
-    "well-integral",
-    "osc-delta",
-    "osc-hamiltonian",
-    "mehler-check",
-    "sweep",
-)
+# A sweep writes nx * ny * (k_max + 1) rows; the largest grid is refused
+# before it is built.
+_MAX_SWEEP_ROWS = 10 ** 6
 
-# Schedules beyond these depths are either pointless (closed forms already
-# converged) or noise-dominated (quadrature against 1/(1-t)^3 peaks).
-_DEFAULT_K_MAX = {
-    "zeta": 40,
-    "well-delta": 10,
-    "well-hamiltonian": 10,
-    "well-integral": 40,
-    "osc-delta": 10,
-    "osc-hamiltonian": 10,
-    "mehler-check": 8,
-    "sweep": 6,
-}
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -71,11 +52,10 @@ class RunConfig:
     quadrature: QuadratureSpec = field(default_factory=QuadratureSpec)
     output_path: Optional[str] = None
     output_format: str = "csv"
-    strict: bool = False
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.subcommand not in SUBCOMMANDS:
+        if self.subcommand not in _SUBCOMMANDS:
             raise InvalidConfig(f"unknown subcommand {self.subcommand!r}")
         if not 0.0 < self.t_ratio < 1.0:
             raise InvalidConfig("t-ratio must lie in (0, 1)")
@@ -95,7 +75,7 @@ class RunConfig:
 
     @property
     def resolved_k_max(self) -> int:
-        return self.k_max if self.k_max is not None else _DEFAULT_K_MAX[self.subcommand]
+        return self.k_max if self.k_max is not None else _SUBCOMMANDS[self.subcommand][1]
 
     @property
     def resolved_output(self) -> str:
@@ -190,13 +170,32 @@ def read_rows(path: str) -> list:
     return list(map(tuple.__new__, repeat(cls), zip(*columns)))  # cls._make without its checks
 
 
-def _schedule(config: RunConfig, k_start: int = 1) -> list:
-    return [(k, 1.0 - config.t_ratio ** k) for k in range(k_start, config.resolved_k_max + 1)]
-
-
 def _row(k: int, t: float, value: float, reference: Optional[float], wall_ms: float) -> ResultRow:
     err = None if reference is None else abs(value - reference)
     return ResultRow(k=k, t=t, value=value, reference=reference, abs_error=err, wall_time_ms=wall_ms)
+
+
+def _walk(config: RunConfig, value_at, reference: float) -> list:
+    """One row per schedule point t_k = 1 - r^k, k = 1 .. k_max: the timed
+    value_at(t_k) and its error against ``reference``."""
+    rows = []
+    for k in range(1, config.resolved_k_max + 1):
+        t_k = 1.0 - config.t_ratio ** k
+        start = time.perf_counter()
+        value = value_at(t_k)
+        rows.append(_row(k, t_k, value, reference, (time.perf_counter() - start) * 1e3))
+    return rows
+
+
+def _final_within_tol(config: RunConfig, rows: list):
+    """Converged when the last row's error is within the tolerance."""
+    final = rows[-1]
+    converged = final.abs_error <= config.tolerance
+    return rows, {
+        "value": final.value,
+        "error_estimate": final.abs_error,
+        "verdict": "converged" if converged else "unconverged",
+    }, 0 if converged else 2
 
 
 def _monotone_tail(rows: list, window: int = 4) -> bool:
@@ -243,20 +242,8 @@ def _run_zeta(config: RunConfig):
 def _run_well_integral(config: RunConfig):
     p = config.params
     x, a, b = float(p.get("x", 1.0)), float(p.get("a", 0.5)), float(p.get("b", 1.5))
-    reference = 1.0 if a < x < b else 0.0
-    rows = []
-    for k, t_k in _schedule(config):
-        start = time.perf_counter()
-        value = sw.k_interval_integral(sw.IntervalIntegralQuery(x=x, a=a, b=b, t=t_k))
-        wall = (time.perf_counter() - start) * 1e3
-        rows.append(_row(k, t_k, value, reference, wall))
-    final = rows[-1]
-    converged = final.abs_error <= config.tolerance
-    return rows, {
-        "value": final.value,
-        "error_estimate": final.abs_error,
-        "verdict": "converged" if converged else "unconverged",
-    }, 0 if converged else 2
+    value_at = lambda t: sw.k_interval_integral(sw.IntervalIntegralQuery(x=x, a=a, b=b, t=t))
+    return _final_within_tol(config, _walk(config, value_at, 1.0 if a < x < b else 0.0))
 
 
 def _default_well_g():
@@ -273,23 +260,18 @@ def _default_osc_g():
 
 def _run_action(config: RunConfig):
     p = config.params
+    op = "identity" if config.subcommand.endswith("delta") else "hamiltonian"
     if config.subcommand.startswith("well"):
         x = float(p.get("x", 1.0))
         g, ident_ref, hamil_ref = _default_well_g()
-        action = lambda t, op: sw.well_action(x, t, g, config.quadrature, operator=op)
+        action = lambda t: sw.well_action(x, t, g, config.quadrature, operator=op)
     else:
         x = float(p.get("x", 0.5))
         g, ident_ref, hamil_ref = _default_osc_g()
-        action = lambda t, op: osc.osc_action(x, t, g, config.quadrature, operator=op)
-    op = "identity" if config.subcommand.endswith("delta") else "hamiltonian"
+        action = lambda t: osc.osc_action(x, t, g, config.quadrature, operator=op)
     reference = ident_ref(x) if op == "identity" else hamil_ref(x)
 
-    rows = []
-    for k, t_k in _schedule(config):
-        start = time.perf_counter()
-        value = action(t_k, op)
-        wall = (time.perf_counter() - start) * 1e3
-        rows.append(_row(k, t_k, value, reference, wall))
+    rows = _walk(config, action, reference)
     approaching = _monotone_tail(rows)
     final = rows[-1]
     return rows, {
@@ -311,37 +293,19 @@ def _mehler_series_grid(t: float, tol: float) -> np.ndarray:
         need = math.log(tol * (1.0 - t) / (10.0 * sup2)) / math.log(t)
         n_max = max(n_max, int(need) + 1)
     n_max = min(n_max, 60000)
-    xs = np.asarray(_MEHLER_GRID)
-    table = np.empty((n_max + 1, xs.size))
-    phi_prev = math.pi ** (-0.25) * np.exp(-0.5 * xs * xs)
-    table[0] = phi_prev
-    phi = math.sqrt(2.0) * xs * phi_prev
-    if n_max >= 1:
-        table[1] = phi
-    for m in range(1, n_max):
-        phi_prev, phi = phi, math.sqrt(2.0 / (m + 1)) * xs * phi - math.sqrt(m / (m + 1.0)) * phi_prev
-        table[m + 1] = phi
+    table = osc._hermite_function_table(n_max, _MEHLER_GRID)
     tn = t ** np.arange(n_max + 1, dtype=np.float64)
     return np.einsum("n,ni,nj->ij", tn, table, table)
 
 
 def _run_mehler_check(config: RunConfig):
-    rows = []
     xs = np.asarray(_MEHLER_GRID)
-    for k, t_k in _schedule(config):
-        start = time.perf_counter()
-        series = _mehler_series_grid(t_k, config.tolerance)
-        closed = osc._mehler(xs[:, None], xs[None, :], t_k)
-        value = float(np.max(np.abs(series - closed)))
-        wall = (time.perf_counter() - start) * 1e3
-        rows.append(_row(k, t_k, value, 0.0, wall))
-    final = rows[-1]
-    converged = final.value <= config.tolerance
-    return rows, {
-        "value": final.value,
-        "error_estimate": final.value,
-        "verdict": "converged" if converged else "unconverged",
-    }, 0 if converged else 2
+
+    def max_gap(t: float) -> float:
+        closed = osc._mehler(xs[:, None], xs[None, :], t)
+        return float(np.max(np.abs(_mehler_series_grid(t, config.tolerance) - closed)))
+
+    return _final_within_tol(config, _walk(config, max_gap, 0.0))
 
 
 _SWEEP_KERNELS = {
@@ -385,6 +349,9 @@ def _sweep_grid(config: RunConfig):
     ny = int(config.params.get("ny", 50))
     if nx < 1 or ny < 1:
         raise InvalidConfig("grid resolution must be positive")
+    if nx * ny * (config.resolved_k_max + 1) > _MAX_SWEEP_ROWS:
+        raise InvalidConfig(f"sweep of {nx}x{ny} points at k-max {config.resolved_k_max} "
+                            f"would write more than {_MAX_SWEEP_ROWS} rows")
     lo, hi = (0.0, sw.PI) if str(config.params.get("kernel", "well")).startswith("well") else (-3.0, 3.0)
     xs, ys = np.meshgrid(np.linspace(lo, hi, nx), np.linspace(lo, hi, ny), indexing="ij")
     return np.column_stack([xs.ravel(), ys.ravel()])
@@ -399,15 +366,18 @@ def _run_sweep(config: RunConfig):
     }, 0
 
 
-_RUNNERS = {
-    "zeta": _run_zeta,
-    "well-delta": _run_action,
-    "well-hamiltonian": _run_action,
-    "well-integral": _run_well_integral,
-    "osc-delta": _run_action,
-    "osc-hamiltonian": _run_action,
-    "mehler-check": _run_mehler_check,
-    "sweep": _run_sweep,
+# Each subcommand's runner and default k_max.  Schedules beyond these depths
+# are either pointless (closed forms already converged) or noise-dominated
+# (quadrature against 1/(1-t)^3 peaks).
+_SUBCOMMANDS = {
+    "zeta": (_run_zeta, 40),
+    "well-delta": (_run_action, 10),
+    "well-hamiltonian": (_run_action, 10),
+    "well-integral": (_run_well_integral, 40),
+    "osc-delta": (_run_action, 10),
+    "osc-hamiltonian": (_run_action, 10),
+    "mehler-check": (_run_mehler_check, 8),
+    "sweep": (_run_sweep, 6),
 }
 
 
@@ -425,7 +395,7 @@ def run(config: RunConfig) -> int:
     """Execute one experiment: write the result file, print a one-line
     summary, return the exit status."""
     try:
-        rows, summary, status = _RUNNERS[config.subcommand](config)
+        rows, summary, status = _SUBCOMMANDS[config.subcommand][0](config)
     except InvalidConfig:
         raise
     except EulerSumError as exc:
@@ -453,8 +423,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--output", default=None, help="result file path")
     sub.add_argument("--format", choices=("csv", "json"), default=None, help="result file format")
     sub.add_argument("--config", default=None, help="JSON file with flag defaults (flags win)")
-    sub.add_argument("--strict", action="store_true", default=None,
-                     help="escalate soft numerical warnings to exit status 2")
 
 
 @lru_cache(maxsize=None)  # built once: parse_args keeps no state on the parser
@@ -541,7 +509,6 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         quadrature=QuadratureSpec(**{k: v for k, v in quad_kwargs.items() if v is not None}),
         output_path=pick("output", None),
         output_format=str(pick("format", "csv")),
-        strict=bool(pick("strict", False)),
         params=params,
     )
 

@@ -17,26 +17,15 @@ form; both analytic routes are implemented and agree identically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    InvalidConfig,
-    NOverflow,
-    TNotInUnitInterval,
-    TruncationInsufficient,
-)
-from .quadrature import QuadratureSpec, integrate
+from .errors import DomainError, InvalidConfig, NOverflow, TruncationInsufficient, check_t
+from .quadrature import QuadratureSpec, eval_test_function, integrate
 
 ArrayLike = Union[float, np.ndarray]
-
-
-def _check_t_open(t: float) -> None:
-    if not -1.0 < t < 1.0:
-        raise TNotInUnitInterval(f"t={t!r} outside (-1, 1)")
 
 
 @dataclass(frozen=True)
@@ -50,57 +39,42 @@ class MehlerPoint:
     def __post_init__(self):
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise DomainError("x and y must be finite")
-        if not 0.0 <= self.t < 1.0:
-            raise TNotInUnitInterval(f"t={self.t!r} outside [0, 1)")
+        check_t(self.t)
 
 
-@dataclass(frozen=True)
-class OscillatorEigenstate:
-    """Eigenstate label n >= 0 with energy n + 1/2."""
-
-    n: int
-    energy: float = field(init=False)
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise DomainError("eigenstate index must be >= 0")
-        object.__setattr__(self, "energy", self.n + 0.5)
-
-
-def hermite(n: int, x: float) -> float:
-    """Physicists' Hermite polynomial H_n(x) by the three-term recurrence
-    H_0 = 1, H_1 = 2x, H_{n+1} = 2x H_n - 2n H_{n-1}.
-
-    Raw polynomial values; they overflow double precision past n ~ 170
-    for moderate x.  Use phi_osc for normalised large-n evaluations.
-    """
-    if n < 0:
-        raise DomainError("n must be >= 0")
-    h_prev, h = 1.0, 2.0 * x
-    if n == 0:
-        return 1.0
-    for m in range(1, n):
-        h_prev, h = h, 2.0 * x * h - 2.0 * m * h_prev
-    return h
-
-
-def _phi_recurrence(n: int, x: ArrayLike) -> ArrayLike:
-    """phi_n(x) by the normalised recurrence.
+def _hermite_function_table(n_max: int, x: ArrayLike) -> np.ndarray:
+    """phi_0(x) .. phi_{n_max}(x) stacked on a new first axis, by the
+    normalised recurrence
 
     phi_0 = pi^(-1/4) exp(-x^2/2), phi_1 = sqrt(2) x phi_0,
     phi_{m+1} = sqrt(2/(m+1)) x phi_m - sqrt(m/(m+1)) phi_{m-1}.
 
     Algebraically this is the log-scaled normalisation of the raw H_n
     recurrence, so 2^n n! never appears and no overflow occurs at any n.
+    Raises NOverflow if any entry is not finite (a non-finite x).
     """
-    x = np.asarray(x, dtype=np.float64)
+    # [()] turns a 0-d array into a numpy scalar, whose arithmetic is
+    # about 2.5x faster per step than the 0-d array's.
+    x = np.asarray(x, dtype=np.float64)[()]
+    out = np.empty((n_max + 1, *np.shape(x)))
     phi_prev = math.pi ** (-0.25) * np.exp(-0.5 * x * x)
-    if n == 0:
-        return phi_prev
-    phi = math.sqrt(2.0) * x * phi_prev
-    for m in range(1, n):
-        phi_prev, phi = phi, math.sqrt(2.0 / (m + 1)) * x * phi - math.sqrt(m / (m + 1.0)) * phi_prev
-    return phi
+    out[0] = phi_prev
+    if n_max > 0:
+        phi = math.sqrt(2.0) * x * phi_prev
+        out[1] = phi
+        # phi_{m-1} and phi_m stay in locals; reading them back from out
+        # each step costs more.
+        for m in range(1, n_max):
+            phi_prev, phi = phi, math.sqrt(2.0 / (m + 1)) * x * phi - math.sqrt(m / (m + 1.0)) * phi_prev
+            out[m + 1] = phi
+    if not np.all(np.isfinite(out)):
+        raise NOverflow("eigenfunction recurrence produced a non-finite value")
+    return out
+
+
+def _phi_recurrence(n: int, x: ArrayLike) -> np.ndarray:
+    """phi_n(x), the last row of the Hermite-function table."""
+    return _hermite_function_table(n, x)[n]
 
 
 def phi_osc(n: int, x: float) -> float:
@@ -108,10 +82,7 @@ def phi_osc(n: int, x: float) -> float:
     exp(-x^2/2) H_n(x), evaluated overflow-free for any n."""
     if n < 0:
         raise DomainError("n must be >= 0")
-    value = float(_phi_recurrence(n, x))
-    if not math.isfinite(value):
-        raise NOverflow(f"phi_{n}({x!r}) is not finite")
-    return value
+    return float(_phi_recurrence(n, x))
 
 
 def _mehler_exponent(x: ArrayLike, y: ArrayLike, t: float) -> ArrayLike:
@@ -140,27 +111,10 @@ def mehler_series(p: MehlerPoint, n_max: int) -> float:
     return math.fsum(tn * px * py)
 
 
-def _hermite_function_table(n_max: int, x: float) -> np.ndarray:
-    """phi_0(x) .. phi_{n_max}(x) as one array."""
-    out = np.empty(n_max + 1)
-    phi_prev = math.pi ** (-0.25) * math.exp(-0.5 * x * x)
-    out[0] = phi_prev
-    if n_max == 0:
-        return out
-    phi = math.sqrt(2.0) * x * phi_prev
-    out[1] = phi
-    for m in range(1, n_max):
-        phi_prev, phi = phi, math.sqrt(2.0 / (m + 1)) * x * phi - math.sqrt(m / (m + 1.0)) * phi_prev
-        out[m + 1] = phi
-    if not np.all(np.isfinite(out)):
-        raise NOverflow("eigenfunction recurrence produced a non-finite value")
-    return out
-
-
 def symmetrized_exponent(x: float, y: float, t: float) -> float:
     """-(1-t)/(1+t) (x+y)^2/4 - (1+t)/(1-t) (x-y)^2/4; identical to the
     unsymmetrised kernel exponent (x^2-y^2)/2 - (x-yt)^2/(1-t^2)."""
-    _check_t_open(t)
+    check_t(t)
     return (
         -((1.0 - t) / (1.0 + t)) * (x + y) ** 2 / 4.0
         - ((1.0 + t) / (1.0 - t)) * (x - y) ** 2 / 4.0
@@ -202,13 +156,6 @@ def osc_h_kernel(p: MehlerPoint, route: str = "y_operator") -> float:
     raise InvalidConfig(f"unknown route {route!r}")
 
 
-def _eval_test_function(g: Callable, y: np.ndarray) -> np.ndarray:
-    out = np.asarray(g(y), dtype=np.float64)
-    if out.shape != y.shape:
-        out = np.array([float(g(v)) for v in y], dtype=np.float64)
-    return out
-
-
 def osc_action(
     x: float,
     t: float,
@@ -228,12 +175,12 @@ def osc_action(
         raise InvalidConfig(f"unknown operator {operator!r}")
     if not math.isfinite(x):
         raise DomainError("x must be finite")
-    _check_t_open(t)
+    check_t(t)
 
     kern = _mehler if operator == "identity" else _osc_h_y_route
 
     def integrand(y: np.ndarray) -> np.ndarray:
-        return kern(x, y, t) * _eval_test_function(g, y)
+        return kern(x, y, t) * eval_test_function(g, y)
 
     half_width = abs(x) + 10.0 / math.sqrt(1.0 - t)
     peak_width = math.sqrt(2.0 * (1.0 - t) / (1.0 + t))

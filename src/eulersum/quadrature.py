@@ -18,6 +18,8 @@ import numpy as np
 
 from .errors import InvalidConfig, QuadratureNotConverged
 
+_INITIAL_PANELS = 8
+
 
 @dataclass(frozen=True)
 class QuadratureSpec:
@@ -61,6 +63,14 @@ def _composite(f: Callable[[np.ndarray], np.ndarray], bp: np.ndarray, nodes: int
     return total, float(np.max(np.abs(vals)))
 
 
+def eval_test_function(g: Callable, y: np.ndarray) -> np.ndarray:
+    """g at the nodes y, calling g once per node when it is not vectorised."""
+    out = np.asarray(g(y), dtype=np.float64)
+    if out.shape != y.shape:
+        out = np.array([float(g(v)) for v in y], dtype=np.float64)
+    return out
+
+
 def _split_at_peak(bp: np.ndarray, peak: float, min_width: float) -> np.ndarray:
     """Grade the mesh toward the peak: the panel containing it is split
     down to ``min_width`` and every other panel down to its distance from
@@ -84,7 +94,6 @@ def integrate(
     spec: Optional[QuadratureSpec] = None,
     peak: Optional[float] = None,
     peak_min_width: Optional[float] = None,
-    initial_panels: int = 8,
 ) -> QuadratureResult:
     """Integrate a vectorised function over [a, b].
 
@@ -97,7 +106,7 @@ def integrate(
         spec = QuadratureSpec()
     if not b > a:
         raise InvalidConfig("integration interval must have b > a")
-    bp = np.linspace(a, b, initial_panels + 1)
+    bp = np.linspace(a, b, _INITIAL_PANELS + 1)
     if peak is not None and peak_min_width is not None and peak_min_width > 0.0:
         if a < peak < b:
             bp = _split_at_peak(bp, peak, peak_min_width)

@@ -20,7 +20,7 @@ property the kernels are built to exhibit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -30,18 +30,13 @@ from .errors import (
     DomainError,
     InvalidConfig,
     TestFunctionBoundary,
-    TNotInUnitInterval,
+    check_t,
 )
-from .quadrature import QuadratureSpec, integrate
+from .quadrature import QuadratureSpec, eval_test_function, integrate
 
 PI = math.pi
 
 ArrayLike = Union[float, np.ndarray]
-
-
-def _check_t(t: float) -> None:
-    if not 0.0 <= t < 1.0:
-        raise TNotInUnitInterval(f"t={t!r} outside [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -55,20 +50,7 @@ class WellKernelPoint:
     def __post_init__(self):
         if not 0.0 <= self.x <= PI or not 0.0 <= self.y <= PI:
             raise DomainError(f"(x, y)=({self.x!r}, {self.y!r}) outside [0, pi]^2")
-        _check_t(self.t)
-
-
-@dataclass(frozen=True)
-class WellEigenstate:
-    """Eigenstate label n >= 1 with energy n^2 / 2."""
-
-    n: int
-    energy: float = field(init=False)
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise DomainError("eigenstate index must be >= 1")
-        object.__setattr__(self, "energy", 0.5 * self.n ** 2)
+        check_t(self.t)
 
 
 @dataclass(frozen=True)
@@ -85,7 +67,7 @@ class IntervalIntegralQuery:
             raise DomainError(f"x={self.x!r} must lie in (0, pi)")
         if not (0.0 <= self.a < self.b <= PI):
             raise DomainError(f"need 0 <= a < b <= pi, got a={self.a!r}, b={self.b!r}")
-        _check_t(self.t)
+        check_t(self.t)
 
 
 def phi_well(n: int, x: float) -> float:
@@ -117,7 +99,7 @@ def _d2(z: ArrayLike, t: float) -> ArrayLike:
 
 def d_kernel(z: float, t: float) -> float:
     """Closed form of 1/pi + (1/pi) sum(t^n cos(nz)); 2pi-periodic in z."""
-    _check_t(t)
+    check_t(t)
     return float(_d(z, t))
 
 
@@ -174,10 +156,10 @@ def arg_f(u: float, t: float) -> float:
     branch without manual tracking.  As t -> 1 this tends to (u - pi)/2
     for u > 0, to (u + pi)/2 for u < 0 and to 0 at u = 0.
     """
-    _check_t(t)
+    check_t(t)
     if not -PI < u < PI:
         raise DomainError(f"u={u!r} outside (-pi, pi)")
-    return math.atan2(-t * math.sin(u), 1.0 - t * math.cos(u))
+    return _arg_f_folded(u, t)
 
 
 def k_interval_integral(q: IntervalIntegralQuery) -> float:
@@ -203,13 +185,6 @@ def k_interval_integral(q: IntervalIntegralQuery) -> float:
     return total / PI
 
 
-def _eval_test_function(g: Callable, y: np.ndarray) -> np.ndarray:
-    out = np.asarray(g(y), dtype=np.float64)
-    if out.shape != y.shape:
-        out = np.array([float(g(v)) for v in y], dtype=np.float64)
-    return out
-
-
 def well_action(
     x: float,
     t: float,
@@ -230,14 +205,14 @@ def well_action(
         raise InvalidConfig(f"unknown operator {operator!r}")
     if not 0.0 < x < PI:
         raise DomainError(f"x={x!r} must lie in (0, pi)")
-    _check_t(t)
+    check_t(t)
     if abs(float(g(0.0))) + abs(float(g(PI))) > 1e-12:
         raise TestFunctionBoundary("test function must vanish at 0 and pi")
 
     kern = _k if operator == "identity" else _h
 
     def integrand(y: np.ndarray) -> np.ndarray:
-        return kern(x, y, t) * _eval_test_function(g, y)
+        return kern(x, y, t) * eval_test_function(g, y)
 
     res = integrate(
         integrand, 0.0, PI, quad, peak=x, peak_min_width=(1.0 - t) / 4.0

@@ -13,7 +13,6 @@ must agree there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -33,22 +32,6 @@ KNOWN_VALUES = {
     4.0: math.pi ** 4 / 90.0,
     6.0: math.pi ** 6 / 945.0,
 }
-
-
-@dataclass(frozen=True)
-class ZetaQuery:
-    """A zeta evaluation request: the point s and the summation route."""
-
-    s: float
-    method: str = "euler_alternating"
-
-    def __post_init__(self):
-        if self.method not in ("direct", "euler_alternating"):
-            raise InvalidConfig(f"unknown zeta method {self.method!r}")
-        if self.method == "direct" and self.s <= 1.0:
-            raise InvalidConfig("direct summation requires s > 1")
-        if self.method == "euler_alternating" and self.s == 1.0:
-            raise InvalidConfig("the alternating-series prefactor has a pole at s = 1")
 
 
 def alternating_sequence(s: float) -> CoefficientSequence:
@@ -115,15 +98,6 @@ def zeta_euler(s: float, cfg: Optional[EulerLimitConfig] = None) -> EulerLimitRe
     if s == 1.0:
         raise DomainError("zeta has a pole at s = 1")
     return euler_limit(alternating_sequence(s), cfg)
-
-
-def evaluate_query(q: ZetaQuery, tol: float = 1e-8, cfg: Optional[EulerLimitConfig] = None) -> float:
-    """Evaluate a ZetaQuery to a float via its selected route."""
-    if q.method == "direct":
-        return zeta_direct(q.s, tol)
-    if cfg is None:
-        cfg = EulerLimitConfig(tolerance=tol)
-    return zeta_euler(q.s, cfg).value
 
 
 def reference_value(s: float, tol: float = 1e-10) -> Optional[float]:

@@ -480,6 +480,20 @@ def test_cli_sweep_out_of_domain_point_exits_one(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sweep_grid_row_cap(monkeypatch):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("grid built")
+
+    huge = RunConfig(subcommand="sweep", params={"nx": 10 ** 6, "ny": 10 ** 6})
+    with monkeypatch.context() as m:
+        m.setattr(np, "meshgrid", no_grid)
+        with pytest.raises(InvalidConfig, match="more than 1000000 rows"):
+            eulersum.harness._sweep_grid(huge)
+    assert main(["sweep", "--nx", "1000000", "--ny", "1000000"]) == 1
+    config = RunConfig(subcommand="sweep", params={"kernel": "osc-h", "nx": 100, "ny": 100})
+    assert len(sweep(config, eulersum.harness._sweep_grid(config))) == 100 * 100 * 7
+
+
 def test_sweep_row_order():
     config = RunConfig(subcommand="sweep", k_max=2, params={"kernel": "well"})
     rows = sweep(config, [(0.5, 0.5), (1.0, 1.0)])
@@ -507,7 +521,7 @@ def test_cli_plain_all_ones_exit_two(tmp_path):
 
 def test_cli_strict_deep_negative_s(tmp_path):
     out = tmp_path / "z.csv"
-    proc = cli("zeta", "--s", "-5", "--strict", "--output", str(out))
+    proc = cli("zeta", "--s", "-5", "--output", str(out))
     assert proc.returncode == 2
     assert "NoEulerSum" in proc.stdout
 

@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eulersum.errors import DomainError, InvalidConfig, TNotInUnitInterval, TruncationInsufficient
+from eulersum.errors import DomainError, InvalidConfig, NOverflow, TNotInUnitInterval, TruncationInsufficient
 from eulersum.oscillator import (
     MehlerPoint,
-    OscillatorEigenstate,
-    hermite,
+    _hermite_function_table,
     mehler_kernel,
     mehler_series,
     osc_action,
@@ -22,7 +21,7 @@ from eulersum.oscillator import (
 from eulersum.quadrature import integrate
 
 # Explicit physicists' Hermite polynomials, the independent oracle for the
-# recurrence (Rodrigues-form coefficients for n <= 6).
+# normalised recurrence (Rodrigues-form coefficients for n <= 6).
 EXPLICIT_H = {
     0: lambda x: 1.0,
     1: lambda x: 2.0 * x,
@@ -40,30 +39,6 @@ tf = st.floats(min_value=0.0, max_value=0.95)
 def phi_explicit(n, x):
     norm = math.sqrt(2.0 ** n * math.factorial(n) * math.sqrt(math.pi))
     return EXPLICIT_H[n](x) * math.exp(-0.5 * x * x) / norm
-
-
-# --- Hermite polynomials ----------------------------------------------------
-
-
-def test_hermite_trivial():
-    for x in (-2.0, 0.0, 1.7):
-        assert hermite(0, x) == 1.0
-
-
-def test_hermite_examples():
-    assert hermite(3, 0.5) == pytest.approx(-5.0, abs=1e-12)
-    assert hermite(2, 1.0) == pytest.approx(2.0, abs=1e-12)
-
-
-@given(x=xf, n=st.integers(min_value=0, max_value=6))
-@settings(max_examples=80)
-def test_hermite_matches_explicit_polynomials(x, n):
-    assert hermite(n, x) == pytest.approx(EXPLICIT_H[n](x), rel=1e-10, abs=1e-9)
-
-
-def test_hermite_negative_order():
-    with pytest.raises(DomainError):
-        hermite(-1, 0.0)
 
 
 # --- eigenfunctions ---------------------------------------------------------
@@ -85,6 +60,20 @@ def test_phi_osc_against_explicit_oracle():
 @settings(max_examples=60)
 def test_phi_osc_matches_explicit(x, n):
     assert phi_osc(n, x) == pytest.approx(phi_explicit(n, x), rel=1e-9, abs=1e-12)
+    xs = np.array([x, -x, 0.5 * x, 3.0])
+    table = _hermite_function_table(n, xs)
+    assert table.shape == (n + 1, xs.size)
+    for m in range(n + 1):
+        assert table[m] == pytest.approx([phi_explicit(m, v) for v in xs], rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_hermite_function_table_rejects_non_finite_x(bad):
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NOverflow):
+            _hermite_function_table(4, np.array([0.5, bad]))
+        with pytest.raises(NOverflow):
+            phi_osc(3, bad)
 
 
 def test_phi_osc_large_n_does_not_overflow():
@@ -111,13 +100,6 @@ def test_phi_osc_zero_count(n):
     signs = np.sign(vals[vals != 0.0])  # grid hits the odd states' zero at 0 exactly
     crossings = int(np.sum(signs[:-1] * signs[1:] < 0))
     assert crossings == n
-
-
-def test_eigenstate_energy():
-    assert OscillatorEigenstate(0).energy == 0.5
-    assert OscillatorEigenstate(7).energy == 7.5
-    with pytest.raises(DomainError):
-        OscillatorEigenstate(-1)
 
 
 # --- Mehler kernel ----------------------------------------------------------
@@ -168,6 +150,11 @@ def test_mehler_point_validation():
         MehlerPoint(0.0, 0.0, 1.0)
     with pytest.raises(DomainError):
         MehlerPoint(math.inf, 0.0, 0.5)
+    for t in (-0.5, 1.0):  # the regulator range is [0, 1) for every oscillator function
+        with pytest.raises(TNotInUnitInterval):
+            osc_action(0.0, t, lambda y: np.exp(-np.asarray(y) ** 2))
+        with pytest.raises(TNotInUnitInterval):
+            symmetrized_exponent(0.3, -0.2, t)
 
 
 # --- symmetrised exponent ---------------------------------------------------

@@ -11,7 +11,6 @@ from eulersum.errors import BoundaryAmbiguous, DomainError, TestFunctionBoundary
 from eulersum.quadrature import integrate
 from eulersum.square_well import (
     IntervalIntegralQuery,
-    WellEigenstate,
     WellKernelPoint,
     arg_f,
     d_kernel,
@@ -51,8 +50,6 @@ def test_phi_well_domain():
 
 @pytest.mark.parametrize("n", [1, 2, 5, 10])
 def test_eigenstate_energy_and_boundary(n):
-    state = WellEigenstate(n=n)
-    assert state.energy == 0.5 * n ** 2
     assert abs(phi_well(n, 0.0)) <= 1e-13
     assert abs(phi_well(n, PI)) <= 1e-13
 

@@ -5,12 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from eulersum.errors import DomainError, InvalidConfig, NoEulerSum
-from eulersum.resummation import EulerLimitConfig
+from eulersum.errors import DomainError, NoEulerSum
 from eulersum.zeta import (
-    ZetaQuery,
     alternating_sequence,
-    evaluate_query,
     plain_sequence,
     zeta_direct,
     zeta_euler,
@@ -126,19 +123,3 @@ def test_alternating_term_block_matches_term(s):
 def test_plain_sequence_is_all_ones_at_s_zero():
     seq = plain_sequence(0.0)
     assert [seq.term(n) for n in (1, 2, 5)] == [1.0, 1.0, 1.0]
-
-
-def test_query_validation():
-    with pytest.raises(InvalidConfig):
-        ZetaQuery(s=0.5, method="direct")
-    with pytest.raises(InvalidConfig):
-        ZetaQuery(s=1.0, method="euler_alternating")
-    with pytest.raises(InvalidConfig):
-        ZetaQuery(s=2.0, method="bogus")
-
-
-def test_evaluate_query_routes():
-    direct = evaluate_query(ZetaQuery(s=2.0, method="direct"), tol=1e-10)
-    euler = evaluate_query(ZetaQuery(s=2.0), cfg=EulerLimitConfig())
-    assert direct == pytest.approx(math.pi ** 2 / 6.0, abs=1e-10)
-    assert euler == pytest.approx(direct, abs=1e-6)
