@@ -31,9 +31,7 @@ import numpy as np
 from . import oscillator as osc
 from . import square_well as sw
 from .errors import EulerSumError, InvalidConfig, NoEulerSum
-from .quadrature import QuadratureSpec
-# abel_eval is unused here; it stays bound because perfbench/spans.py rebinds harness.abel_eval.
-from .resummation import EulerLimitConfig, abel_eval, euler_limit
+from .resummation import INNER_TOL_FACTOR, EulerLimitConfig, abel_eval, euler_limit
 from .zeta import alternating_sequence, plain_sequence, reference_value
 
 # A sweep writes nx * ny * (k_max + 1) rows; the largest grid is refused
@@ -49,7 +47,6 @@ class RunConfig:
     t_ratio: float = 0.5
     k_max: Optional[int] = None
     tolerance: float = 1e-8
-    quadrature: QuadratureSpec = field(default_factory=QuadratureSpec)
     output_path: Optional[str] = None
     output_format: str = "csv"
     params: dict = field(default_factory=dict)
@@ -178,6 +175,8 @@ def _row(k: int, t: float, value: float, reference: Optional[float], wall_ms: fl
 def _walk(config: RunConfig, value_at, reference: float) -> list:
     """One row per schedule point t_k = 1 - r^k, k = 1 .. k_max: the timed
     value_at(t_k) and its error against ``reference``."""
+    if config.resolved_k_max < 1:
+        raise InvalidConfig(f"{config.subcommand} needs k-max >= 1")
     rows = []
     for k in range(1, config.resolved_k_max + 1):
         t_k = 1.0 - config.t_ratio ** k
@@ -242,36 +241,32 @@ def _run_zeta(config: RunConfig):
 def _run_well_integral(config: RunConfig):
     p = config.params
     x, a, b = float(p.get("x", 1.0)), float(p.get("a", 0.5)), float(p.get("b", 1.5))
+    if not (0.0 < x < sw.PI and 0.0 <= a < b <= sw.PI):
+        raise InvalidConfig(f"well-integral needs 0 < x < pi and 0 <= a < b <= pi, got x={x}, a={a}, b={b}")
     value_at = lambda t: sw.k_interval_integral(sw.IntervalIntegralQuery(x=x, a=a, b=b, t=t))
     return _final_within_tol(config, _walk(config, value_at, 1.0 if a < x < b else 0.0))
 
 
-def _default_well_g():
-    g = lambda y: y * (sw.PI - y)
-    return g, (lambda x: x * (sw.PI - x)), (lambda x: 1.0)
-
-
-def _default_osc_g():
-    g = lambda y: np.exp(-np.asarray(y, dtype=np.float64) ** 2)
-    ident = lambda x: math.exp(-x * x)
-    hamil = lambda x: (1.0 - 1.5 * x * x) * math.exp(-x * x)
-    return g, ident, hamil
-
-
 def _run_action(config: RunConfig):
-    p = config.params
-    op = "identity" if config.subcommand.endswith("delta") else "hamiltonian"
+    """Sum the eigen-series f(t) = sum a_n t^n of the action on the fixed
+    test function: y(pi - y) on the well, exp(-y^2) on the oscillator."""
+    p = 0 if config.subcommand.endswith("delta") else 1
+    tol = config.tolerance / INNER_TOL_FACTOR
     if config.subcommand.startswith("well"):
-        x = float(p.get("x", 1.0))
-        g, ident_ref, hamil_ref = _default_well_g()
-        action = lambda t: sw.well_action(x, t, g, config.quadrature, operator=op)
+        x = float(config.params.get("x", 1.0))
+        if not 0.0 < x < sw.PI:
+            raise InvalidConfig(f"{config.subcommand} needs 0 < x < pi, got x={x}")
+        seq = sw.well_action_sequence(x, p)
+        value_at = lambda t: abel_eval(seq, t, tol).value
+        reference = 1.0 if p else x * (sw.PI - x)
     else:
-        x = float(p.get("x", 0.5))
-        g, ident_ref, hamil_ref = _default_osc_g()
-        action = lambda t: osc.osc_action(x, t, g, config.quadrature, operator=op)
-    reference = ident_ref(x) if op == "identity" else hamil_ref(x)
+        x = float(config.params.get("x", 0.5))
+        coeffs = osc.osc_action_coefficients(x, p, tol)
+        powers = np.arange(coeffs.size)
+        value_at = lambda t: float(np.dot(coeffs, t ** powers))
+        reference = (1.0 - 1.5 * x * x if p else 1.0) * math.exp(-x * x)
 
-    rows = _walk(config, action, reference)
+    rows = _walk(config, value_at, reference)
     approaching = _monotone_tail(rows)
     final = rows[-1]
     return rows, {
@@ -366,9 +361,7 @@ def _run_sweep(config: RunConfig):
     }, 0
 
 
-# Each subcommand's runner and default k_max.  Schedules beyond these depths
-# are either pointless (closed forms already converged) or noise-dominated
-# (quadrature against 1/(1-t)^3 peaks).
+# Each subcommand's runner and default k_max.
 _SUBCOMMANDS = {
     "zeta": (_run_zeta, 40),
     "well-delta": (_run_action, 10),
@@ -419,7 +412,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--t-ratio", type=float, default=None, help="schedule ratio r in t_k = 1 - r^k")
     sub.add_argument("--k-max", type=int, default=None, help="deepest schedule index k")
     sub.add_argument("--tol", type=float, default=None, help="convergence tolerance")
-    sub.add_argument("--quad-nodes", type=int, default=None, help="Gauss-Legendre nodes per panel")
     sub.add_argument("--output", default=None, help="result file path")
     sub.add_argument("--format", choices=("csv", "json"), default=None, help="result file format")
     sub.add_argument("--config", default=None, help="JSON file with flag defaults (flags win)")
@@ -489,12 +481,6 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         except (TypeError, ValueError, OverflowError):
             raise InvalidConfig(f"{flag} must be {convert.__name__}, got {value!r}") from None
 
-    quad_kwargs = {
-        name: pick(flag, None, convert)
-        for flag, name, convert in (("quad-nodes", "nodes_per_panel", int),
-                                    ("quad-tolerance", "tolerance", float),
-                                    ("quad-refinements", "max_refinements", int))
-    }
     params = {}
     for key in _PARAM_KEYS:
         value = pick(key, None, int if key in ("nx", "ny") else None)
@@ -506,7 +492,6 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         t_ratio=pick("t-ratio", 0.5, float),
         k_max=pick("k-max", None, int),
         tolerance=pick("tol", 1e-8, float),
-        quadrature=QuadratureSpec(**{k: v for k, v in quad_kwargs.items() if v is not None}),
         output_path=pick("output", None),
         output_format=str(pick("format", "csv")),
         params=params,

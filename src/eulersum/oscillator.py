@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidConfig, NOverflow, TruncationInsufficient, check_t
 from .quadrature import QuadratureSpec, eval_test_function, integrate
+from .resummation import _certified_tail
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -207,3 +208,27 @@ def osc_action(
     )
     check_edges(res.max_abs_integrand)
     return res.value
+
+
+def _gaussian_overlaps(n_max: int) -> np.ndarray:
+    """g_n = <phi_n, exp(-y^2)>, n = 0 .. n_max: 0 for odd n, g_0 =
+    pi^(-1/4) sqrt(2pi/3) and g_{2m+2} = -(1/3) sqrt((2m+1)/(2m+2)) g_{2m}
+    (from the integral of H_{2m} exp(-3y^2/2)), so |g_n| <= g_0 3^(-n/2)."""
+    g = np.zeros(n_max + 1)
+    m = np.arange(n_max // 2, dtype=np.float64)
+    g[0::2] = math.pi ** -0.25 * math.sqrt(2.0 * math.pi / 3.0) * np.cumprod(
+        np.concatenate(([1.0], -np.sqrt((2.0 * m + 1.0) / (2.0 * m + 2.0)) / 3.0)))
+    return g
+
+
+def osc_action_coefficients(x: float, p: int, tol: float) -> np.ndarray:
+    """a_n = E_n^p phi_n(x) g_n, n = 0 .. N, with E_n = n + 1/2: the
+    eigen-series f(t) = sum a_n t^n of the action of H^p on g = exp(-y^2).
+    N is the least index with sum_{n>N} |a_n| <= tol for every t in [0, 1],
+    by |phi_n| <= pi^(-1/4) (Cramer's inequality in Indritz's sharp form),
+    |g_n| <= g_0 3^(-n/2) and n + 1/2 <= 3n/2."""
+    c = math.pi ** -0.5 * math.sqrt(2.0 * math.pi / 3.0) * 1.5 ** p
+    n_max = 1
+    while _certified_tail(c, p, n_max + 1, 3.0 ** -0.5) > tol:
+        n_max += 1
+    return (np.arange(n_max + 1) + 0.5) ** p * _hermite_function_table(n_max, x) * _gaussian_overlaps(n_max)

@@ -33,6 +33,7 @@ from .errors import (
     check_t,
 )
 from .quadrature import QuadratureSpec, eval_test_function, integrate
+from .resummation import CoefficientSequence
 
 PI = math.pi
 
@@ -218,3 +219,20 @@ def well_action(
         integrand, 0.0, PI, quad, peak=x, peak_min_width=(1.0 - t) / 4.0
     )
     return res.value
+
+
+def well_action_sequence(x: float, p: int) -> CoefficientSequence:
+    """The eigen-series f(t) = sum a_n t^n of the action of H^p on
+    g = y(pi - y) at x in (0, pi): g_n = sqrt(2/pi) 4/n^3 for odd n (0 for
+    even n) and E_n = n^2/2 give a_n = (8/pi) (n^2/2)^p sin(nx)/n^3 over odd
+    n, i.e. (8/pi) sin(nx)/n^3 (identity) and (4/pi) sin(nx)/n (H).  The
+    growth hint 2p - 3 lets abel_eval certify the geometric tail."""
+    if not 0.0 < x < PI:
+        raise DomainError(f"x={x!r} must lie in (0, pi)")
+    scale = 8.0 / PI * 0.5 ** p
+
+    def term_block(n: np.ndarray) -> np.ndarray:
+        return (n.astype(np.int64) & 1) * scale * np.sin(n * x) * n ** (2.0 * p - 3.0)
+
+    return CoefficientSequence(term=lambda n: float(term_block(np.array([float(n)]))[0]),
+                               start_index=1, growth_hint=2.0 * p - 3.0, term_block=term_block)

@@ -12,8 +12,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import mpmath
+
 import eulersum.harness
 import eulersum.resummation
+import eulersum.square_well
 from eulersum.errors import InvalidConfig, TailNotBounded
 from eulersum.harness import (
     ResultRow,
@@ -26,8 +29,8 @@ from eulersum.harness import (
     sweep,
     write_rows,
 )
-from eulersum.oscillator import MehlerPoint, mehler_kernel, osc_h_kernel
-from eulersum.square_well import WellKernelPoint, d_kernel, h_kernel, k_kernel
+from eulersum.oscillator import MehlerPoint, mehler_kernel, osc_action, osc_h_kernel
+from eulersum.square_well import WellKernelPoint, d_kernel, h_kernel, k_kernel, well_action
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -116,13 +119,6 @@ def test_run_mehler_check(tmp_path):
     assert status == 0
     rows = read_rows(str(out))
     assert all(r.value <= 1e-8 for r in rows)
-
-
-def test_quad_nodes_flag_respected(tmp_path):
-    out = tmp_path / "od.csv"
-    proc = cli("osc-delta", "--x", "0.5", "--quad-nodes", "32", "--output", str(out))
-    assert proc.returncode == 0
-    assert read_rows(str(out))[-1].abs_error < 1e-3
 
 
 def test_run_requires_s(tmp_path):
@@ -223,9 +219,9 @@ def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
         (["zeta", "--s", "0"], {"tol": "x"}),
         (["zeta", "--s", "0"], {"t-ratio": "x"}),
         (["zeta", "--s", "0"], {"k-max": 1e999}),
-        (["osc-delta"], {"quad-nodes": "x"}),
-        (["osc-delta"], {"quad-tolerance": [1e-9]}),
-        (["osc-delta"], {"quad-refinements": "x"}),
+        (["osc-delta"], {"k-max": "x"}),
+        (["osc-delta"], {"tol": [1e-9]}),
+        (["osc-delta"], {"t-ratio": "x"}),
         (["sweep"], {"nx": "x"}),
         (["sweep"], {"ny": None, "nx": [3]}),
     ],
@@ -259,15 +255,121 @@ def test_tail_not_bounded_keeps_the_rows_made(tmp_path, monkeypatch, capsys):
     ]
 
 
-def test_huge_quad_nodes_rejected_before_any_rule_is_built(tmp_path, monkeypatch, capsys):
-    def no_rule(n):
-        raise AssertionError(f"leggauss({n}) called")
+_WALKING_SUBCOMMANDS = ("well-delta", "well-hamiltonian", "osc-delta", "osc-hamiltonian",
+                        "well-integral", "mehler-check")
 
-    monkeypatch.setattr(np.polynomial.legendre, "leggauss", no_rule)
-    out = tmp_path / "od.csv"
-    assert main(["osc-delta", "--quad-nodes", str(10 ** 12), "--output", str(out)]) == 1
-    assert "nodes_per_panel" in capsys.readouterr().err
+
+@pytest.mark.parametrize("subcommand", _WALKING_SUBCOMMANDS)
+def test_k_max_zero_is_a_usage_error(tmp_path, subcommand, capsys):
+    out = tmp_path / "r.csv"
+    assert main([subcommand, "--k-max", "0", "--output", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["well-delta", "--x", "5"],
+        ["well-delta", "--x=-0.5"],
+        ["well-hamiltonian", "--x", "0"],
+        ["well-hamiltonian", "--x", "3.1416"],
+        ["well-integral", "--x", "0"],
+        ["well-integral", "--a=-0.1"],
+        ["well-integral", "--b", "4"],
+        ["well-integral", "--a", "1.5", "--b", "0.5"],
+    ],
+)
+def test_well_input_outside_the_domain_is_a_usage_error(tmp_path, monkeypatch, argv, capsys):
+    def no_numerics(*args):
+        raise AssertionError("numerics started")
+
+    made = counting_abel_eval(monkeypatch)
+    monkeypatch.setattr(eulersum.square_well, "well_action_sequence", no_numerics)
+    monkeypatch.setattr(eulersum.square_well, "k_interval_integral", no_numerics)
+    out = tmp_path / "r.csv"
+    assert main([*argv, "--output", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not made and not out.exists()
+
+
+def test_well_integral_at_an_endpoint_stays_a_numerical_verdict(tmp_path, capsys):
+    out = tmp_path / "wi.csv"
+    assert main(["well-integral", "--x", "1", "--a", "1", "--b", "2", "--output", str(out)]) == 2
+    assert "verdict=BoundaryAmbiguous" in capsys.readouterr().out
+
+
+# --- action rows: the summed eigen-series -------------------------------------
+
+_ACTION_XS = {"well": (0.3, 1.0, 1.570796, 2.8), "osc": (-2.5, -0.4, 0.5, 3.0)}
+
+
+def _osc_identity(x, t):
+    q = 3.0 - t * t
+    return math.sqrt(2.0 / q) * math.exp(-x * x * (3.0 + t * t) / (2.0 * q))
+
+
+def _well_identity(x, t):
+    # (8/pi) sum over odd n of t^n sin(nx)/n^3 = (8/pi) Im[Li3(z) - Li3(z^2)/8], z = t e^{ix}
+    z = mpmath.mpf(t) * mpmath.expj(x)
+    return float(8 / mpmath.pi * mpmath.im(mpmath.polylog(3, z) - mpmath.polylog(3, z * z) / 8))
+
+
+_CLOSED_FORMS = {
+    "well-delta": _well_identity,
+    "well-hamiltonian": lambda x, t: 2.0 / math.pi * math.atan(2.0 * t * math.sin(x) / (1.0 - t * t)),
+    "osc-delta": _osc_identity,
+    # (t d/dt + 1/2) of the identity action
+    "osc-hamiltonian": lambda x, t: _osc_identity(x, t) * (
+        0.5 + t * t / (3.0 - t * t) - 6.0 * x * x * t * t / (3.0 - t * t) ** 2),
+}
+
+_QUADRATURE_ROUTES = {
+    "well-delta": lambda x, t: well_action(x, t, lambda y: y * (math.pi - y), operator="identity"),
+    "well-hamiltonian": lambda x, t: well_action(x, t, lambda y: y * (math.pi - y), operator="hamiltonian"),
+    "osc-delta": lambda x, t: osc_action(x, t, lambda y: np.exp(-np.asarray(y) ** 2), operator="identity"),
+    "osc-hamiltonian": lambda x, t: osc_action(x, t, lambda y: np.exp(-np.asarray(y) ** 2),
+                                               operator="hamiltonian"),
+}
+
+
+def action_rows(tmp_path, subcommand, x, k_max):
+    out = tmp_path / f"{subcommand}.csv"
+    run(RunConfig(subcommand=subcommand, k_max=k_max, output_path=str(out), params={"x": x}))
+    rows = read_rows(str(out))
+    assert [r.k for r in rows] == list(range(1, k_max + 1))
+    return rows
+
+
+@pytest.mark.parametrize("subcommand", sorted(_QUADRATURE_ROUTES))
+def test_action_rows_match_the_quadrature_route(tmp_path, subcommand):
+    for x in _ACTION_XS[subcommand.split("-")[0]]:
+        for row in action_rows(tmp_path, subcommand, x, 10):
+            assert row.value == pytest.approx(_QUADRATURE_ROUTES[subcommand](x, row.t), abs=1e-8)
+
+
+@pytest.mark.parametrize("subcommand", sorted(_CLOSED_FORMS))
+def test_action_rows_match_the_closed_forms(tmp_path, subcommand):
+    inner_tol = RunConfig(subcommand=subcommand).tolerance / eulersum.resummation.INNER_TOL_FACTOR
+    for x in _ACTION_XS[subcommand.split("-")[0]]:
+        for row in action_rows(tmp_path, subcommand, x, 14):
+            assert row.value == pytest.approx(_CLOSED_FORMS[subcommand](x, row.t), abs=inner_tol)
+
+
+def test_well_action_rows_are_abel_evaluations(tmp_path, monkeypatch, capsys):
+    made = counting_abel_eval(monkeypatch)
+    out = tmp_path / "wh.csv"
+    assert main(["well-hamiltonian", "--x", "1", "--output", str(out)]) == 0
+    rows = read_rows(str(out))
+    assert [(r.t, r.value) for r in rows] == [(e.t, e.value) for e in made]
+    assert all(e.tail_bound <= 1e-10 for e in made)
+
+
+def test_deep_well_hamiltonian_approaches(tmp_path, capsys):
+    out = tmp_path / "wh.csv"
+    assert main(["well-hamiltonian", "--x", "1.570796", "--k-max", "12", "--output", str(out)]) == 0
+    assert "verdict=approaching" in capsys.readouterr().out
+    assert len(read_rows(str(out))) == 12
 
 
 # --- persistence ------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,10 +11,12 @@ from hypothesis import strategies as st
 from eulersum.errors import DomainError, InvalidConfig, NOverflow, TNotInUnitInterval, TruncationInsufficient
 from eulersum.oscillator import (
     MehlerPoint,
+    _gaussian_overlaps,
     _hermite_function_table,
     mehler_kernel,
     mehler_series,
     osc_action,
+    osc_action_coefficients,
     osc_h_kernel,
     phi_osc,
     symmetrized_exponent,
@@ -297,3 +300,31 @@ def test_normalisation_limit():
         devs.append(abs(val - 1.0))
     assert all(devs[i + 1] < devs[i] for i in range(len(devs) - 1))
     assert devs[-1] < 1e-2
+
+
+# --- the eigen-series of the action on exp(-y^2) ------------------------------
+
+
+def test_gaussian_overlaps_match_mpmath_quadrature():
+    g = _gaussian_overlaps(20)
+    with mpmath.workdps(30):
+        for n in range(21):
+            norm = mpmath.sqrt(2 ** n * mpmath.factorial(n) * mpmath.sqrt(mpmath.pi))
+            exact = mpmath.quad(lambda y: mpmath.hermite(n, y) * mpmath.exp(-1.5 * y * y) / norm,
+                                [-mpmath.inf, 0, mpmath.inf])
+            assert g[n] == pytest.approx(float(exact), rel=1e-14, abs=1e-300)
+            assert abs(g[n]) <= g[0] * 3.0 ** (-n / 2)
+
+
+@pytest.mark.parametrize("p", [0, 1])
+@pytest.mark.parametrize("x", [-3.0, 0.0, 0.5, 2.2])
+def test_osc_action_coefficients_tail_is_within_tol(p, x):
+    # the truncated sum is within tol of a much longer one at t = 1, where
+    # the tail is largest
+    for tol in (1e-6, 1e-10, 1e-14):
+        short, long = osc_action_coefficients(x, p, tol), osc_action_coefficients(x, p, 1e-300)
+        assert short.size < long.size
+        assert abs(math.fsum(long) - math.fsum(short)) <= tol
+    # and the full sum is the action at t -> 1: g(x), or -g''/2 + x^2 g/2
+    limit = (1.0 - 1.5 * x * x if p else 1.0) * math.exp(-x * x)
+    assert math.fsum(long) == pytest.approx(limit, abs=1e-14)

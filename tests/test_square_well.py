@@ -21,6 +21,7 @@ from eulersum.square_well import (
     k_series,
     phi_well,
     well_action,
+    well_action_sequence,
 )
 
 PI = math.pi
@@ -337,3 +338,19 @@ def test_action_rejects_bad_boundary():
 def test_action_rejects_x_outside():
     with pytest.raises(DomainError):
         well_action(0.0, 0.5, lambda y: np.sin(np.asarray(y)))
+
+
+@pytest.mark.parametrize("p", [0, 1])
+def test_well_action_sequence_coefficients(p):
+    # a_n = E_n^p <phi_n, y(pi - y)> phi_n(x), with the overlap written out
+    x = 1.1
+    seq = well_action_sequence(x, p)
+    n = np.arange(1.0, 40.0)
+    overlap = [math.sqrt(2.0 / PI) * (4.0 / k ** 3 if k % 2 else 0.0) for k in range(1, 40)]
+    expected = (n * n / 2.0) ** p * np.array(overlap) * np.sqrt(2.0 / PI) * np.sin(n * x)
+    np.testing.assert_allclose(seq.term_block(n), expected, rtol=1e-14, atol=0.0)
+    assert [seq.term(k) for k in range(1, 40)] == seq.term_block(n).tolist()
+    assert seq.start_index == 1 and seq.growth_hint == 2 * p - 3
+    for bad in (0.0, PI, -1.0, 5.0):
+        with pytest.raises(DomainError):
+            well_action_sequence(bad, p)
