@@ -58,6 +58,10 @@ class RunConfig:
             raise InvalidConfig("t-ratio must lie in (0, 1)")
         if self.k_max is not None and not 0 <= self.k_max <= 60:
             raise InvalidConfig("k-max must lie in [0, 60]")
+        # zeta's k-max is a ceiling: euler_limit stops where the schedule saturates.
+        if self.subcommand != "zeta" and 1.0 - self.t_ratio ** self.resolved_k_max == 1.0:
+            raise InvalidConfig(f"t-ratio {self.t_ratio!r} at k-max {self.resolved_k_max} "
+                                "puts the last t_k at 1.0 in double precision")
         if not 0.0 < self.tolerance < math.inf:
             raise InvalidConfig("tolerance must be finite and positive")
         for key in {"s", "x", "y", "a", "b"} & self.params.keys():
@@ -174,14 +178,19 @@ def _row(k: int, t: float, value: float, reference: Optional[float], wall_ms: fl
 
 def _walk(config: RunConfig, value_at, reference: float) -> list:
     """One row per schedule point t_k = 1 - r^k, k = 1 .. k_max: the timed
-    value_at(t_k) and its error against ``reference``."""
+    value_at(t_k) and its error against ``reference``.  An EulerSumError
+    leaves with the rows made before it as ``rows``."""
     if config.resolved_k_max < 1:
         raise InvalidConfig(f"{config.subcommand} needs k-max >= 1")
     rows = []
     for k in range(1, config.resolved_k_max + 1):
         t_k = 1.0 - config.t_ratio ** k
         start = time.perf_counter()
-        value = value_at(t_k)
+        try:
+            value = value_at(t_k)
+        except EulerSumError as exc:
+            exc.rows = rows
+            raise
         rows.append(_row(k, t_k, value, reference, (time.perf_counter() - start) * 1e3))
     return rows
 
@@ -229,6 +238,9 @@ def _run_zeta(config: RunConfig):
             "verdict": "NoEulerSum",
             "detail": str(exc),
         }, 2
+    except EulerSumError as exc:
+        exc.rows = rows_from(exc.evaluations)
+        raise
     rows = rows_from(res.evaluations)
     verdict = "converged" if res.converged else "unconverged"
     return rows, {
@@ -282,7 +294,7 @@ _MEHLER_GRID = [float(v) for v in range(-2, 3)]
 def _mehler_series_grid(t: float, tol: float) -> np.ndarray:
     """sum(t^n phi_n(x) phi_n(y)) on the check grid, truncated so the
     uniform tail bound sup|phi| ^2 t^(N+1)/(1-t) is below tol/10."""
-    sup2 = 0.6667  # sup_x |phi_n(x)|^2 < 0.82^2 for all n
+    sup2 = 0.6667  # above sup_x |phi_n(x)|^2 <= pi^(-1/2) ~ 0.564 for all n (Indritz)
     n_max = 300
     if t > 0.0:
         need = math.log(tol * (1.0 - t) / (10.0 * sup2)) / math.log(t)
@@ -387,13 +399,16 @@ def _summary_line(config: RunConfig, summary: dict) -> str:
 def run(config: RunConfig) -> int:
     """Execute one experiment: write the result file, print a one-line
     summary, return the exit status."""
+    out = Path(config.resolved_output)
+    if out.is_dir() or not out.parent.is_dir():
+        why = "it is a directory" if out.is_dir() else "its directory does not exist"
+        raise InvalidConfig(f"cannot write {str(out)!r}: {why}")
     try:
         rows, summary, status = _SUBCOMMANDS[config.subcommand][0](config)
     except InvalidConfig:
         raise
     except EulerSumError as exc:
-        partial = getattr(exc, "evaluations", None) or []
-        rows = [_row(k, e.t, e.value, None, e.wall_ms) for k, e in enumerate(partial)]
+        rows = getattr(exc, "rows", [])
         summary = {"verdict": type(exc).__name__, "detail": str(exc)}
         status = 2
     write_rows(config.resolved_output, rows, config.output_format)
@@ -499,21 +514,11 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        config = _build_config(args)
+        return run(_build_config(build_parser().parse_args(argv)))
     except InvalidConfig as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    try:
-        return run(config)
-    except InvalidConfig as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except EulerSumError as exc:
-        print(f"[{config.subcommand}] verdict={type(exc).__name__} detail={exc}")
-        return 2
 
 
 if __name__ == "__main__":

@@ -3,9 +3,9 @@
 A divergent series sum(a_n) is assigned a value by evaluating
 f(t) = sum(a_n * t^n) inside the unit interval and extrapolating the
 sequence f(t_k) along a schedule t_k = 1 - r^k to t = 1.  Evaluation is
-certified: either a growth hint on the coefficients yields a rigorous
-geometric tail bound, or a plateau heuristic on the decayed terms is
-used.  Extrapolation is Neville polynomial extrapolation in u = 1 - t;
+certified: a growth hint on the coefficients yields a geometric tail
+bound, which closes only for t < 1, so f is never evaluated at t = 1.
+Extrapolation is Neville polynomial extrapolation in u = 1 - t;
 divergent series are detected and reported rather than summed.
 """
 
@@ -18,8 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (DomainError, EulerSumError, InvalidConfig, NoEulerSum, TailNotBounded,
-                     TNotInUnitInterval)
+from .errors import DomainError, EulerSumError, InvalidConfig, NoEulerSum, TailNotBounded, check_t
 
 # Evaluation proceeds in vectorised blocks; bounds are re-checked per block.
 # Blocks start small and double so that fast-decaying series stop before
@@ -32,6 +31,9 @@ _BLOCK_MAX = 8192
 # schedule before this budget would be hit.
 DEFAULT_TERM_BUDGET = 20_000_000
 
+# Schedule points the Neville extrapolant runs through.
+_EXTRAPOLATION_ORDER = 6
+
 # f(t_k) is evaluated this much tighter than the limit tolerance so that
 # extrapolation noise stays below the convergence test.
 INNER_TOL_FACTOR = 100.0
@@ -39,19 +41,17 @@ INNER_TOL_FACTOR = 100.0
 
 @dataclass(frozen=True)
 class CoefficientSequence:
-    """Indexed term oracle n -> a_n defining a (possibly divergent) series.
+    """Vectorised term oracle n -> a_n defining a (possibly divergent) series.
 
-    ``term`` must return a finite float for every n >= start_index.  If
-    ``growth_hint`` gamma is supplied, |a_n| <= C * n^gamma must hold for
-    some C; the constant is estimated from the computed terms and used for
-    a certified geometric tail bound.  ``term_block`` is an optional
-    vectorised variant taking an ndarray of integer-valued indices.
+    ``term_block`` maps an ndarray of integer-valued float indices
+    n >= start_index to finite coefficients.  ``growth_hint`` gamma asserts
+    |a_n| <= C * n^gamma for some C; the constant is estimated from the
+    computed terms and closes a geometric tail bound.
     """
 
-    term: Callable[[int], float]
+    term_block: Callable[[np.ndarray], np.ndarray]
+    growth_hint: float
     start_index: int = 0
-    growth_hint: Optional[float] = None
-    term_block: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if self.start_index < 0 or int(self.start_index) != self.start_index:
@@ -75,7 +75,6 @@ class EulerLimitConfig:
 
     ratio: float = 0.5
     k_max: int = 40
-    extrapolation_order: int = 6
     tolerance: float = 1e-8
 
     def __post_init__(self):
@@ -83,8 +82,6 @@ class EulerLimitConfig:
             raise InvalidConfig("ratio must lie in (0, 1)")
         if self.k_max < 1:
             raise InvalidConfig("k_max must be at least 1")
-        if self.extrapolation_order < 1:
-            raise InvalidConfig("extrapolation_order must be at least 1")
         if not 0.0 < self.tolerance < math.inf:
             raise InvalidConfig("tolerance must be finite and positive")
 
@@ -108,12 +105,6 @@ class EulerLimitResult:
         return [(e.t, e.value) for e in self.evaluations]
 
 
-def _coeff_block(seq: CoefficientSequence, idx: np.ndarray) -> np.ndarray:
-    if seq.term_block is not None:
-        return np.asarray(seq.term_block(idx), dtype=np.float64)
-    return np.array([seq.term(int(i)) for i in idx], dtype=np.float64)
-
-
 def _certified_tail(c_hat: float, gamma: float, n_next: int, t: float) -> float:
     """Upper bound on sum_{n >= n_next} C n^gamma t^n for C = c_hat.
 
@@ -133,47 +124,32 @@ def _certified_tail(c_hat: float, gamma: float, n_next: int, t: float) -> float:
     return lead / (1.0 - rho)
 
 
-def abel_eval(
-    seq: CoefficientSequence,
-    t: float,
-    tol: float,
-    max_terms: int = DEFAULT_TERM_BUDGET,
-) -> AbelEvaluation:
-    """Evaluate f(t) = sum(a_n t^n), truncated with a certified tail.
+def abel_eval(seq: CoefficientSequence, t: float, tol: float) -> AbelEvaluation:
+    """Evaluate f(t) = sum(a_n t^n) for t in [0, 1), truncated once the
+    geometric tail bound from the growth hint drops below ``tol``.
 
-    With a growth hint the truncation stops once the geometric tail bound
-    drops below ``tol``.  Without one, summation stops after 50
-    consecutive terms |a_n t^n| below tol/100 (plateau rule); if the term
-    magnitudes fail to decay block over block, TailNotBounded is raised.
-
-    t = 1 exactly is accepted for absolutely convergent series: the
-    geometric certificate is unavailable there, so the plateau rule
-    decides.  t < 0 or t > 1 raises TNotInUnitInterval.
+    TailNotBounded is raised when the coefficients overflow or the bound
+    does not close within DEFAULT_TERM_BUDGET terms; t outside [0, 1)
+    raises TNotInUnitInterval.
     """
     start = time.perf_counter()
     if not 0.0 < tol < math.inf:
         raise InvalidConfig("tol must be finite and positive")
-    if not 0.0 <= t <= 1.0:
-        raise TNotInUnitInterval(f"t={t!r} outside [0, 1]")
-    certified = seq.growth_hint is not None and t < 1.0
-    gamma = seq.growth_hint if certified else 0.0
-    threshold = 0.01 * tol
+    check_t(t)
+    gamma = seq.growth_hint
 
     total = 0.0
     comp = 0.0  # Neumaier compensation
     c_hat = 0.0
-    quiet_run = 0
-    prev_block_max = math.inf
-    growth_strikes = 0
     n = seq.start_index
     block_size = _BLOCK_MIN
 
-    while n - seq.start_index < max_terms:
-        block = min(block_size, max_terms - (n - seq.start_index))
+    while n - seq.start_index < DEFAULT_TERM_BUDGET:
+        block = min(block_size, DEFAULT_TERM_BUDGET - (n - seq.start_index))
         block_size = min(2 * block_size, _BLOCK_MAX)
         idx = np.arange(n, n + block, dtype=np.float64)
         try:
-            coeffs = _coeff_block(seq, idx)
+            coeffs = np.asarray(seq.term_block(idx), dtype=np.float64)
         except OverflowError:
             raise TailNotBounded(
                 f"coefficients overflow double precision near n={n}; "
@@ -181,9 +157,7 @@ def abel_eval(
             )
         if not np.all(np.isfinite(coeffs)):
             raise DomainError(f"non-finite coefficient near n={n}")
-        powers = np.power(t, idx)
-        terms = coeffs * powers
-        block_sum = float(np.sum(terms))
+        block_sum = float(np.sum(coeffs * np.power(t, idx)))
         s = total + block_sum
         if abs(total) >= abs(block_sum):
             comp += (total - s) + block_sum
@@ -191,41 +165,17 @@ def abel_eval(
             comp += (block_sum - s) + total
         total = s
         n += block
-        terms_used = n - seq.start_index
 
-        if certified:
-            pos = idx >= 1.0
-            if np.any(pos):
-                c_hat = max(c_hat, float(np.max(np.abs(coeffs[pos]) / idx[pos] ** gamma)))
-            bound = _certified_tail(c_hat, gamma, n, t)
-            if bound <= tol:
-                return AbelEvaluation(t=t, value=total + comp, terms_used=terms_used,
-                                      tail_bound=bound, wall_ms=(time.perf_counter() - start) * 1e3)
-        else:
-            mags = np.abs(terms)
-            below = mags < threshold
-            if bool(below.all()):
-                quiet_run += block
-            else:
-                last_loud = int(np.nonzero(~below)[0][-1])
-                quiet_run = block - last_loud - 1
-            if quiet_run >= 50:
-                return AbelEvaluation(t=t, value=total + comp, terms_used=terms_used,
-                                      tail_bound=0.5 * tol, wall_ms=(time.perf_counter() - start) * 1e3)
-            block_max = float(np.max(mags))
-            if block_max >= prev_block_max and block_max > threshold:
-                growth_strikes += 1
-                if growth_strikes >= 4:
-                    raise TailNotBounded(
-                        f"term magnitudes not decaying at t={t!r} (n ~ {n}); "
-                        "supply a growth_hint if the coefficients are polynomially bounded"
-                    )
-            else:
-                growth_strikes = 0
-            if block_max > 0.0:
-                prev_block_max = block_max
+        pos = idx >= 1.0
+        if np.any(pos):
+            c_hat = max(c_hat, float(np.max(np.abs(coeffs[pos]) / idx[pos] ** gamma)))
+        bound = _certified_tail(c_hat, gamma, n, t)
+        if bound <= tol:
+            return AbelEvaluation(t=t, value=total + comp, terms_used=n - seq.start_index,
+                                  tail_bound=bound, wall_ms=(time.perf_counter() - start) * 1e3)
 
-    raise TailNotBounded(f"tail not certified below tol={tol!r} within {max_terms} terms at t={t!r}")
+    raise TailNotBounded(f"tail not certified below tol={tol!r} within {DEFAULT_TERM_BUDGET} terms "
+                         f"at t={t!r}")
 
 
 def _neville_at_zero(us: list, fs: list) -> float:
@@ -238,15 +188,11 @@ def _neville_at_zero(us: list, fs: list) -> float:
     return q[-1]
 
 
-def euler_limit(
-    seq: CoefficientSequence,
-    cfg: Optional[EulerLimitConfig] = None,
-    term_budget: int = DEFAULT_TERM_BUDGET,
-) -> EulerLimitResult:
+def euler_limit(seq: CoefficientSequence, cfg: Optional[EulerLimitConfig] = None) -> EulerLimitResult:
     """Extract lim_{t->1-} f(t) by polynomial extrapolation in u = 1 - t.
 
     Walks the schedule t_k = 1 - ratio^k, extrapolating through the most
-    recent ``extrapolation_order`` points after each evaluation, and stops
+    recent _EXTRAPOLATION_ORDER points after each evaluation, and stops
     as soon as the last two extrapolants differ by at most ``tolerance``.
 
     Raises NoEulerSum when the limit demonstrably fails to exist or
@@ -271,10 +217,10 @@ def euler_limit(
         t_k = 1.0 - u_k
         if t_k >= 1.0:
             break  # float saturation of the schedule
-        if evaluations and evaluations[-1].terms_used / cfg.ratio > term_budget:
+        if evaluations and evaluations[-1].terms_used / cfg.ratio > DEFAULT_TERM_BUDGET:
             break  # next evaluation would exceed the term budget
         try:
-            ev = abel_eval(seq, t_k, inner_tol, max_terms=term_budget)
+            ev = abel_eval(seq, t_k, inner_tol)
         except EulerSumError as exc:
             exc.evaluations = evaluations
             raise
@@ -289,7 +235,7 @@ def euler_limit(
                 evaluations=evaluations,
             )
 
-        w = min(cfg.extrapolation_order, len(us))
+        w = min(_EXTRAPOLATION_ORDER, len(us))
         p = _neville_at_zero(us[-w:], [e.value for e in evaluations[-w:]])
         extrapolants.append(p)
         if len(extrapolants) >= 2:

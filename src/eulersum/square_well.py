@@ -234,5 +234,4 @@ def well_action_sequence(x: float, p: int) -> CoefficientSequence:
     def term_block(n: np.ndarray) -> np.ndarray:
         return (n.astype(np.int64) & 1) * scale * np.sin(n * x) * n ** (2.0 * p - 3.0)
 
-    return CoefficientSequence(term=lambda n: float(term_block(np.array([float(n)]))[0]),
-                               start_index=1, growth_hint=2.0 * p - 3.0, term_block=term_block)
+    return CoefficientSequence(term_block, growth_hint=2.0 * p - 3.0, start_index=1)

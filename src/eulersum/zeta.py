@@ -40,14 +40,11 @@ def alternating_sequence(s: float) -> CoefficientSequence:
         raise DomainError("prefactor pole at s = 1")
     pref = 1.0 / (1.0 - 2.0 ** (1.0 - s))
 
-    def term(n: int) -> float:
-        return pref * (-1.0) ** (n + 1) * float(n) ** (-s)
-
     def term_block(idx: np.ndarray) -> np.ndarray:
         sign = 1.0 - 2.0 * ((idx.astype(np.int64) & 1) == 0)
         return pref * sign * idx ** (-s)
 
-    return CoefficientSequence(term=term, start_index=1, growth_hint=-s, term_block=term_block)
+    return CoefficientSequence(term_block, growth_hint=-s, start_index=1)
 
 
 def plain_sequence(s: float) -> CoefficientSequence:
@@ -58,13 +55,10 @@ def plain_sequence(s: float) -> CoefficientSequence:
     path.
     """
 
-    def term(n: int) -> float:
-        return float(n) ** (-s)
-
     def term_block(idx: np.ndarray) -> np.ndarray:
         return idx ** (-s)
 
-    return CoefficientSequence(term=term, start_index=1, growth_hint=-s, term_block=term_block)
+    return CoefficientSequence(term_block, growth_hint=-s, start_index=1)
 
 
 def zeta_direct(s: float, tol: float) -> float:

@@ -206,7 +206,7 @@ def test_criterion_7_distributional_limits():
 
 
 def test_criterion_8_divergence_honesty(tmp_path):
-    ones = CoefficientSequence(term=lambda n: 1.0, start_index=0, growth_hint=0.0)
+    ones = CoefficientSequence(np.ones_like, growth_hint=0.0)
     with pytest.raises(NoEulerSum):
         euler_limit(ones)
     env = dict(os.environ)

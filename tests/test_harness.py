@@ -253,6 +253,85 @@ def test_tail_not_bounded_keeps_the_rows_made(tmp_path, monkeypatch, capsys):
     assert [(r.k, r.t, r.value, r.wall_time_ms) for r in rows] == [
         (k, e.t, e.value, e.wall_ms) for k, e in enumerate(made)
     ]
+    # zeta(-2) = 0 is tabulated, so the rows keep their reference and error
+    assert all(r.reference == 0.0 and r.abs_error == abs(r.value) for r in rows)
+
+
+@pytest.mark.parametrize(
+    "argv, module, name",
+    [
+        (["well-delta", "--x", "1"], eulersum.harness, "abel_eval"),
+        (["well-hamiltonian", "--x", "2"], eulersum.harness, "abel_eval"),
+        (["well-integral"], eulersum.square_well, "k_interval_integral"),
+    ],
+)
+def test_walk_failure_keeps_the_rows_made(tmp_path, monkeypatch, argv, module, name, capsys):
+    full = tmp_path / "full.csv"
+    assert main([*argv, "--output", str(full)]) == 0
+    calls = []
+    original = getattr(module, name)
+
+    def failing_after_three(*args):
+        if len(calls) == 3:
+            raise TailNotBounded("injected after three points")
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, failing_after_three)
+    out = tmp_path / "cut.csv"
+    assert main([*argv, "--output", str(out)]) == 2
+    assert "verdict=TailNotBounded" in capsys.readouterr().out
+    # the three rows made, with their reference and error, as in the full run
+    rows = read_rows(str(out))
+    assert [r[:5] for r in rows] == [r[:5] for r in read_rows(str(full))[:3]]
+    assert all(r.reference is not None and r.abs_error is not None for r in rows)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--kernel", "well", "--nx", "3", "--ny", "3", "--k-max", "60"],
+        ["sweep", "--kernel", "well", "--t-ratio", "0.01", "--k-max", "10", "--nx", "2", "--ny", "2"],
+        ["sweep", "--kernel", "osc-h", "--nx", "2", "--ny", "2", "--k-max", "60"],
+        ["well-delta", "--k-max", "60"],
+        ["osc-hamiltonian", "--t-ratio", "0.01"],
+        ["well-integral", "--k-max", "60"],
+        ["mehler-check", "--k-max", "60"],
+    ],
+)
+def test_schedule_reaching_t_one_is_a_usage_error(tmp_path, monkeypatch, argv, capsys):
+    def unreachable(config):
+        raise AssertionError("runner reached")
+
+    default_k_max = eulersum.harness._SUBCOMMANDS[argv[0]][1]
+    monkeypatch.setitem(eulersum.harness._SUBCOMMANDS, argv[0], (unreachable, default_k_max))
+    out = tmp_path / "r.csv"
+    assert main([*argv, "--output", str(out)]) == 1
+    assert "1.0 in double precision" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_schedule_limit_is_where_t_rounds_to_one(tmp_path, capsys):
+    # 1 - 2^-53 is the largest double below 1; 1 - 2^-54 rounds to 1
+    assert RunConfig(subcommand="well-delta", k_max=53).resolved_k_max == 53
+    with pytest.raises(InvalidConfig):
+        RunConfig(subcommand="well-delta", k_max=54)
+    # zeta's k-max is a ceiling: euler_limit stops before t rounds to 1
+    out = tmp_path / "z.csv"
+    assert main(["zeta", "--s", "-1", "--k-max", "60", "--output", str(out)]) == 0
+    assert "verdict=converged" in capsys.readouterr().out
+    assert len(read_rows(str(out))) == 8
+
+
+@pytest.mark.parametrize("target", ["missing-parent", "directory"])
+def test_unwritable_output_is_a_usage_error(tmp_path, monkeypatch, target, capsys):
+    made = counting_abel_eval(monkeypatch)
+    out = tmp_path / "absent" / "z.csv" if target == "missing-parent" else tmp_path
+    assert main(["zeta", "--s", "0", "--output", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not made and not (tmp_path / "absent").exists()
+    proc = cli("zeta", "--s", "0", "--output", str(out))
+    assert proc.returncode == 1 and proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
 _WALKING_SUBCOMMANDS = ("well-delta", "well-hamiltonian", "osc-delta", "osc-hamiltonian",

@@ -349,7 +349,6 @@ def test_well_action_sequence_coefficients(p):
     overlap = [math.sqrt(2.0 / PI) * (4.0 / k ** 3 if k % 2 else 0.0) for k in range(1, 40)]
     expected = (n * n / 2.0) ** p * np.array(overlap) * np.sqrt(2.0 / PI) * np.sin(n * x)
     np.testing.assert_allclose(seq.term_block(n), expected, rtol=1e-14, atol=0.0)
-    assert [seq.term(k) for k in range(1, 40)] == seq.term_block(n).tolist()
     assert seq.start_index == 1 and seq.growth_hint == 2 * p - 3
     for bad in (0.0, PI, -1.0, 5.0):
         with pytest.raises(DomainError):
