@@ -2,7 +2,19 @@
 
 
 class EulerSumError(Exception):
-    """Base class for every library-specific failure."""
+    """Base class for every library-specific failure.
+
+    Carries the AbelEvaluations made before the failure, if any, so callers
+    can report how far a schedule got (``trace``: (t, value) pairs).
+    """
+
+    def __init__(self, message: str = "", evaluations=None):
+        super().__init__(message)
+        self.evaluations = list(evaluations) if evaluations is not None else []
+
+    @property
+    def trace(self) -> list:
+        return [(e.t, e.value) for e in self.evaluations]
 
 
 class TNotInUnitInterval(EulerSumError, ValueError):
@@ -20,19 +32,7 @@ class TailNotBounded(EulerSumError, ArithmeticError):
 
 
 class NoEulerSum(EulerSumError, ArithmeticError):
-    """The t -> 1 limit does not exist or cannot be extracted numerically.
-
-    Carries the AbelEvaluations made before the failure was declared, so
-    callers can report how far the schedule got (``trace``: (t, value) pairs).
-    """
-
-    def __init__(self, message: str, evaluations=None):
-        super().__init__(message)
-        self.evaluations = list(evaluations) if evaluations is not None else []
-
-    @property
-    def trace(self) -> list:
-        return [(e.t, e.value) for e in self.evaluations]
+    """The t -> 1 limit does not exist or cannot be extracted numerically."""
 
 
 class DomainError(EulerSumError, ValueError):

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import oscillator as osc
 from . import square_well as sw
-from .errors import EulerSumError, InvalidConfig, NoEulerSum
+from .errors import EulerSumError, InvalidConfig
 from .resummation import INNER_TOL_FACTOR, EulerLimitConfig, abel_eval, euler_limit
 from .zeta import alternating_sequence, plain_sequence, reference_value
 
@@ -39,9 +39,43 @@ from .zeta import alternating_sequence, plain_sequence, reference_value
 _MAX_SWEEP_ROWS = 10 ** 6
 
 
+# The type of every input, by flag name, whether it comes from a flag, a
+# config file or a library RunConfig(...).  Booleans are not numbers, an int
+# must be integral (a numeral string is read as --k-max reads it), and a
+# float must be finite.
+_TYPES = {"t-ratio": float, "k-max": int, "tol": float, "output": str, "format": str,
+          "s": float, "plain": bool, "x": float, "y": float, "a": float, "b": float,
+          "kernel": str, "nx": int, "ny": int}
+
+# RunConfig's fields by the flag that sets them.
+_FIELDS = {"t-ratio": "t_ratio", "k-max": "k_max", "tol": "tolerance",
+           "output": "output_path", "format": "output_format"}
+
+
+def _typed(key: str, value):
+    """``value`` as the type _TYPES gives ``key``, or InvalidConfig."""
+    kind = _TYPES[key]
+    try:
+        if isinstance(value, bool) != (kind is bool) or (kind is str and not isinstance(value, str)):
+            raise TypeError
+        typed = kind(value)
+        if kind is int and not isinstance(value, str) and typed != value:
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidConfig(f"{key} must be {kind.__name__}, got {value!r}") from None
+    if kind is float and not math.isfinite(typed):
+        raise InvalidConfig(f"--{key} must be a finite number")
+    return typed
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """A fully resolved experiment invocation."""
+    """A fully resolved experiment invocation.
+
+    Construction types every value once (``_TYPES``) and fills an unset
+    ``k_max``, ``output_path`` and parameter from the subcommand's defaults,
+    so ``params`` holds exactly the subcommand's parameters, typed.
+    """
 
     subcommand: str
     t_ratio: float = 0.5
@@ -54,35 +88,29 @@ class RunConfig:
     def __post_init__(self):
         if self.subcommand not in _SUBCOMMANDS:
             raise InvalidConfig(f"unknown subcommand {self.subcommand!r}")
+        _, k_max, defaults = _SUBCOMMANDS[self.subcommand]
+        unset = {"k-max": k_max, "output": f"{self.subcommand}.{self.output_format}"}
+        for key, name in _FIELDS.items():
+            value = getattr(self, name)
+            object.__setattr__(self, name, _typed(key, unset.get(key) if value is None else value))
+        unknown = sorted(self.params.keys() - defaults.keys())
+        if unknown:
+            raise InvalidConfig(f"{self.subcommand} takes no {', '.join(unknown)}")
+        object.__setattr__(self, "params", {**defaults, **{k: _typed(k, v) for k, v in self.params.items()}})
         if not 0.0 < self.t_ratio < 1.0:
             raise InvalidConfig("t-ratio must lie in (0, 1)")
-        if self.k_max is not None and not 0 <= self.k_max <= 60:
+        if not 0 <= self.k_max <= 60:
             raise InvalidConfig("k-max must lie in [0, 60]")
         # zeta's k-max is a ceiling: euler_limit stops where the schedule saturates.
-        if self.subcommand != "zeta" and 1.0 - self.t_ratio ** self.resolved_k_max == 1.0:
-            raise InvalidConfig(f"t-ratio {self.t_ratio!r} at k-max {self.resolved_k_max} "
+        if self.subcommand != "zeta" and 1.0 - self.t_ratio ** self.k_max == 1.0:
+            raise InvalidConfig(f"t-ratio {self.t_ratio!r} at k-max {self.k_max} "
                                 "puts the last t_k at 1.0 in double precision")
-        if not 0.0 < self.tolerance < math.inf:
+        if self.tolerance <= 0.0:
             raise InvalidConfig("tolerance must be finite and positive")
-        for key in {"s", "x", "y", "a", "b"} & self.params.keys():
-            try:
-                finite = math.isfinite(float(self.params[key]))
-            except (TypeError, ValueError):
-                finite = False
-            if not finite:
-                raise InvalidConfig(f"--{key} must be a finite number")
         if self.output_format not in ("csv", "json"):
             raise InvalidConfig(f"unknown output format {self.output_format!r}")
-
-    @property
-    def resolved_k_max(self) -> int:
-        return self.k_max if self.k_max is not None else _SUBCOMMANDS[self.subcommand][1]
-
-    @property
-    def resolved_output(self) -> str:
-        if self.output_path is not None:
-            return self.output_path
-        return f"{self.subcommand}.{self.output_format}"
+        if self.subcommand == "sweep" and self.params["kernel"] not in _SWEEP_KERNELS:
+            raise InvalidConfig(f"unknown sweep kernel {self.params['kernel']!r}")
 
 
 class ResultRow(NamedTuple):
@@ -180,10 +208,10 @@ def _walk(config: RunConfig, value_at, reference: float) -> list:
     """One row per schedule point t_k = 1 - r^k, k = 1 .. k_max: the timed
     value_at(t_k) and its error against ``reference``.  An EulerSumError
     leaves with the rows made before it as ``rows``."""
-    if config.resolved_k_max < 1:
+    if config.k_max < 1:
         raise InvalidConfig(f"{config.subcommand} needs k-max >= 1")
     rows = []
-    for k in range(1, config.resolved_k_max + 1):
+    for k in range(1, config.k_max + 1):
         t_k = 1.0 - config.t_ratio ** k
         start = time.perf_counter()
         try:
@@ -198,12 +226,8 @@ def _walk(config: RunConfig, value_at, reference: float) -> list:
 def _final_within_tol(config: RunConfig, rows: list):
     """Converged when the last row's error is within the tolerance."""
     final = rows[-1]
-    converged = final.abs_error <= config.tolerance
-    return rows, {
-        "value": final.value,
-        "error_estimate": final.abs_error,
-        "verdict": "converged" if converged else "unconverged",
-    }, 0 if converged else 2
+    verdict = "converged" if final.abs_error <= config.tolerance else "unconverged"
+    return rows, final.value, final.abs_error, verdict
 
 
 def _monotone_tail(rows: list, window: int = 4) -> bool:
@@ -215,17 +239,13 @@ def _monotone_tail(rows: list, window: int = 4) -> bool:
 
 
 def _run_zeta(config: RunConfig):
-    if "s" not in config.params:
+    s = config.params["s"]
+    if s is None:
         raise InvalidConfig("zeta requires --s")
-    s = float(config.params["s"])
     if s == 1.0:
         raise InvalidConfig("zeta has a pole at s = 1")
-    seq = plain_sequence(s) if config.params.get("plain") else alternating_sequence(s)
-    cfg = EulerLimitConfig(
-        ratio=config.t_ratio,
-        k_max=max(config.resolved_k_max, 1),
-        tolerance=config.tolerance,
-    )
+    seq = plain_sequence(s) if config.params["plain"] else alternating_sequence(s)
+    cfg = EulerLimitConfig(ratio=config.t_ratio, k_max=max(config.k_max, 1), tolerance=config.tolerance)
     ref = reference_value(s)
 
     def rows_from(evaluations):
@@ -233,26 +253,15 @@ def _run_zeta(config: RunConfig):
 
     try:
         res = euler_limit(seq, cfg)
-    except NoEulerSum as exc:
-        return rows_from(exc.evaluations), {
-            "verdict": "NoEulerSum",
-            "detail": str(exc),
-        }, 2
     except EulerSumError as exc:
         exc.rows = rows_from(exc.evaluations)
         raise
-    rows = rows_from(res.evaluations)
     verdict = "converged" if res.converged else "unconverged"
-    return rows, {
-        "value": res.value,
-        "error_estimate": res.error_estimate,
-        "verdict": verdict,
-    }, 0 if res.converged else 2
+    return rows_from(res.evaluations), res.value, res.error_estimate, verdict
 
 
 def _run_well_integral(config: RunConfig):
-    p = config.params
-    x, a, b = float(p.get("x", 1.0)), float(p.get("a", 0.5)), float(p.get("b", 1.5))
+    x, a, b = config.params["x"], config.params["a"], config.params["b"]
     if not (0.0 < x < sw.PI and 0.0 <= a < b <= sw.PI):
         raise InvalidConfig(f"well-integral needs 0 < x < pi and 0 <= a < b <= pi, got x={x}, a={a}, b={b}")
     value_at = lambda t: sw.k_interval_integral(sw.IntervalIntegralQuery(x=x, a=a, b=b, t=t))
@@ -264,28 +273,22 @@ def _run_action(config: RunConfig):
     test function: y(pi - y) on the well, exp(-y^2) on the oscillator."""
     p = 0 if config.subcommand.endswith("delta") else 1
     tol = config.tolerance / INNER_TOL_FACTOR
+    x = config.params["x"]
     if config.subcommand.startswith("well"):
-        x = float(config.params.get("x", 1.0))
         if not 0.0 < x < sw.PI:
             raise InvalidConfig(f"{config.subcommand} needs 0 < x < pi, got x={x}")
         seq = sw.well_action_sequence(x, p)
         value_at = lambda t: abel_eval(seq, t, tol).value
         reference = 1.0 if p else x * (sw.PI - x)
     else:
-        x = float(config.params.get("x", 0.5))
         coeffs = osc.osc_action_coefficients(x, p, tol)
         powers = np.arange(coeffs.size)
         value_at = lambda t: float(np.dot(coeffs, t ** powers))
         reference = (1.0 - 1.5 * x * x if p else 1.0) * math.exp(-x * x)
 
     rows = _walk(config, value_at, reference)
-    approaching = _monotone_tail(rows)
-    final = rows[-1]
-    return rows, {
-        "value": final.value,
-        "error_estimate": final.abs_error,
-        "verdict": "approaching" if approaching else "not-approaching",
-    }, 0 if approaching else 2
+    verdict = "approaching" if _monotone_tail(rows) else "not-approaching"
+    return rows, rows[-1].value, rows[-1].abs_error, verdict
 
 
 _MEHLER_GRID = [float(v) for v in range(-2, 3)]
@@ -329,15 +332,13 @@ def sweep(config: RunConfig, grid) -> list:
     by (point index, k), and a row's wall_time_ms is its share of that call."""
     if len(grid) == 0:
         raise InvalidConfig("sweep grid must be nonempty")
-    kernel_name = str(config.params.get("kernel", "well"))
-    if kernel_name not in _SWEEP_KERNELS:
-        raise InvalidConfig(f"unknown sweep kernel {kernel_name!r}")
+    kernel_name = config.params["kernel"]
     points = np.asarray(grid, dtype=np.float64)
     lo, hi = (0.0, sw.PI) if kernel_name.startswith("well") else (-math.inf, math.inf)
     if not np.all(np.isfinite(points) & (lo <= points) & (points <= hi)):
         raise InvalidConfig(f"sweep --kernel {kernel_name} needs finite x, y in [{lo:g}, {hi:g}]")
     xs, ys = points.T
-    n, nk = xs.size, config.resolved_k_max + 1
+    n, nk = xs.size, config.k_max + 1
     ts, walls, values = [], [], np.empty((n, nk))
     for k in range(nk):
         ts.append(1.0 - config.t_ratio ** k)
@@ -350,70 +351,61 @@ def sweep(config: RunConfig, grid) -> list:
 
 
 def _sweep_grid(config: RunConfig):
-    if "x" in config.params and "y" in config.params:
-        return [(float(config.params["x"]), float(config.params["y"]))]
-    nx = int(config.params.get("nx", 50))
-    ny = int(config.params.get("ny", 50))
+    p = config.params
+    if (p["x"] is None) != (p["y"] is None):
+        raise InvalidConfig("sweep takes --x and --y together, for a single point")
+    if p["x"] is not None:
+        return [(p["x"], p["y"])]
+    nx, ny = p["nx"], p["ny"]
     if nx < 1 or ny < 1:
         raise InvalidConfig("grid resolution must be positive")
-    if nx * ny * (config.resolved_k_max + 1) > _MAX_SWEEP_ROWS:
-        raise InvalidConfig(f"sweep of {nx}x{ny} points at k-max {config.resolved_k_max} "
+    if nx * ny * (config.k_max + 1) > _MAX_SWEEP_ROWS:
+        raise InvalidConfig(f"sweep of {nx}x{ny} points at k-max {config.k_max} "
                             f"would write more than {_MAX_SWEEP_ROWS} rows")
-    lo, hi = (0.0, sw.PI) if str(config.params.get("kernel", "well")).startswith("well") else (-3.0, 3.0)
+    lo, hi = (0.0, sw.PI) if p["kernel"].startswith("well") else (-3.0, 3.0)
     xs, ys = np.meshgrid(np.linspace(lo, hi, nx), np.linspace(lo, hi, ny), indexing="ij")
     return np.column_stack([xs.ravel(), ys.ravel()])
 
 
 def _run_sweep(config: RunConfig):
     rows = sweep(config, _sweep_grid(config))
-    return rows, {
-        "value": max(abs(r.value) for r in rows),
-        "error_estimate": None,
-        "verdict": "ok",
-    }, 0
+    return rows, max(abs(r.value) for r in rows), None, "ok"
 
 
-# Each subcommand's runner and default k_max.
+# Each subcommand's runner, default k_max and parameters with their
+# defaults (None: unset).  A runner returns (rows, value, error_estimate,
+# verdict); run() alone turns that into the summary and the exit status.
 _SUBCOMMANDS = {
-    "zeta": (_run_zeta, 40),
-    "well-delta": (_run_action, 10),
-    "well-hamiltonian": (_run_action, 10),
-    "well-integral": (_run_well_integral, 40),
-    "osc-delta": (_run_action, 10),
-    "osc-hamiltonian": (_run_action, 10),
-    "mehler-check": (_run_mehler_check, 8),
-    "sweep": (_run_sweep, 6),
+    "zeta": (_run_zeta, 40, {"s": None, "plain": False}),
+    "well-delta": (_run_action, 10, {"x": 1.0}),
+    "well-hamiltonian": (_run_action, 10, {"x": 1.0}),
+    "well-integral": (_run_well_integral, 40, {"x": 1.0, "a": 0.5, "b": 1.5}),
+    "osc-delta": (_run_action, 10, {"x": 0.5}),
+    "osc-hamiltonian": (_run_action, 10, {"x": 0.5}),
+    "mehler-check": (_run_mehler_check, 8, {}),
+    "sweep": (_run_sweep, 6, {"kernel": "well", "nx": 50, "ny": 50, "x": None, "y": None}),
 }
-
-
-def _summary_line(config: RunConfig, summary: dict) -> str:
-    parts = [f"[{config.subcommand}]"]
-    for key in ("value", "error_estimate", "verdict", "detail"):
-        if key in summary and summary[key] is not None:
-            v = summary[key]
-            parts.append(f"{key}={v:.12g}" if isinstance(v, float) else f"{key}={v}")
-    parts.append(f"file={config.resolved_output}")
-    return " ".join(parts)
-
 
 def run(config: RunConfig) -> int:
     """Execute one experiment: write the result file, print a one-line
     summary, return the exit status."""
-    out = Path(config.resolved_output)
+    out = Path(config.output_path)
     if out.is_dir() or not out.parent.is_dir():
         why = "it is a directory" if out.is_dir() else "its directory does not exist"
         raise InvalidConfig(f"cannot write {str(out)!r}: {why}")
     try:
-        rows, summary, status = _SUBCOMMANDS[config.subcommand][0](config)
+        rows, value, error_estimate, verdict = _SUBCOMMANDS[config.subcommand][0](config)
+        summary = {"value": value, "error_estimate": error_estimate, "verdict": verdict}
     except InvalidConfig:
         raise
     except EulerSumError as exc:
         rows = getattr(exc, "rows", [])
         summary = {"verdict": type(exc).__name__, "detail": str(exc)}
-        status = 2
-    write_rows(config.resolved_output, rows, config.output_format)
-    print(_summary_line(config, summary))
-    return status
+    write_rows(config.output_path, rows, config.output_format)
+    parts = [f"{k}={v:.12g}" if isinstance(v, float) else f"{k}={v}"
+             for k, v in summary.items() if v is not None]
+    print(" ".join([f"[{config.subcommand}]", *parts, f"file={config.output_path}"]))
+    return 0 if summary["verdict"] in ("converged", "approaching", "ok") else 2
 
 
 class _Parser(argparse.ArgumentParser):
@@ -423,13 +415,15 @@ class _Parser(argparse.ArgumentParser):
         raise InvalidConfig(message)
 
 
+# Flags are read as text and left None when absent; RunConfig types them as
+# it types config-file values.
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--t-ratio", type=float, default=None, help="schedule ratio r in t_k = 1 - r^k")
-    sub.add_argument("--k-max", type=int, default=None, help="deepest schedule index k")
-    sub.add_argument("--tol", type=float, default=None, help="convergence tolerance")
-    sub.add_argument("--output", default=None, help="result file path")
-    sub.add_argument("--format", choices=("csv", "json"), default=None, help="result file format")
-    sub.add_argument("--config", default=None, help="JSON file with flag defaults (flags win)")
+    sub.add_argument("--t-ratio", help="schedule ratio r in t_k = 1 - r^k")
+    sub.add_argument("--k-max", help="deepest schedule index k")
+    sub.add_argument("--tol", help="convergence tolerance")
+    sub.add_argument("--output", help="result file path")
+    sub.add_argument("--format", choices=("csv", "json"), help="result file format")
+    sub.add_argument("--config", help="JSON file with flag defaults (flags win)")
 
 
 @lru_cache(maxsize=None)  # built once: parse_args keeps no state on the parser
@@ -438,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
     p = subs.add_parser("zeta", help="Euler-sum the alternating zeta series at s")
-    p.add_argument("--s", type=float, default=None, help="evaluation point")
+    p.add_argument("--s", help="evaluation point")
     p.add_argument("--plain", action="store_true", default=None,
                    help="Euler-sum the raw series sum(n^-s) instead (fails for s <= 1)")
     _add_common(p)
@@ -450,32 +444,31 @@ def build_parser() -> argparse.ArgumentParser:
         ("osc-hamiltonian", "Hamiltonian action of the oscillator kernel on exp(-y^2)"),
     ):
         p = subs.add_parser(name, help=desc)
-        p.add_argument("--x", type=float, default=None, help="evaluation point x")
+        p.add_argument("--x", help="evaluation point x")
         _add_common(p)
 
     p = subs.add_parser("well-integral", help="interval integral of the square-well kernel")
-    p.add_argument("--x", type=float, default=None)
-    p.add_argument("--a", type=float, default=None)
-    p.add_argument("--b", type=float, default=None)
+    p.add_argument("--x")
+    p.add_argument("--a")
+    p.add_argument("--b")
     _add_common(p)
 
     p = subs.add_parser("mehler-check", help="closed form vs series on a fixed grid")
     _add_common(p)
 
     p = subs.add_parser("sweep", help="kernel values on a grid for each t")
-    p.add_argument("--kernel", choices=sorted(_SWEEP_KERNELS), default=None)
-    p.add_argument("--nx", type=int, default=None)
-    p.add_argument("--ny", type=int, default=None)
-    p.add_argument("--x", type=float, default=None, help="evaluate a single point instead of a grid")
-    p.add_argument("--y", type=float, default=None)
+    p.add_argument("--kernel", choices=sorted(_SWEEP_KERNELS))
+    p.add_argument("--nx")
+    p.add_argument("--ny")
+    p.add_argument("--x", help="evaluate a single point instead of a grid")
+    p.add_argument("--y")
     _add_common(p)
     return parser
 
 
-_PARAM_KEYS = ("s", "plain", "x", "y", "a", "b", "kernel", "nx", "ny")
-
-
 def _build_config(args: argparse.Namespace) -> RunConfig:
+    """The RunConfig of parsed flags over the --config file's values; a
+    value that is null, or a key the subcommand does not take, is unset."""
     file_values = {}
     if args.config is not None:
         try:
@@ -484,33 +477,14 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
             raise InvalidConfig(f"cannot read config file {args.config!r}: {exc}")
         if not isinstance(file_values, dict):
             raise InvalidConfig("config file must hold a flat JSON object")
-
-    def pick(flag: str, default, convert=None):
-        value = getattr(args, flag.replace("-", "_"), None)
-        if value is None:
-            value = file_values.get(flag, default)
-        if value is None or convert is None:
-            return value
-        try:
-            return convert(value)
-        except (TypeError, ValueError, OverflowError):
-            raise InvalidConfig(f"{flag} must be {convert.__name__}, got {value!r}") from None
-
-    params = {}
-    for key in _PARAM_KEYS:
-        value = pick(key, None, int if key in ("nx", "ny") else None)
+    given = {}
+    for key in (*_FIELDS, *_SUBCOMMANDS[args.subcommand][2]):
+        value = getattr(args, key.replace("-", "_"))
+        value = file_values.get(key) if value is None else value
         if value is not None:
-            params[key] = value
-
-    return RunConfig(
-        subcommand=args.subcommand,
-        t_ratio=pick("t-ratio", 0.5, float),
-        k_max=pick("k-max", None, int),
-        tolerance=pick("tol", 1e-8, float),
-        output_path=pick("output", None),
-        output_format=str(pick("format", "csv")),
-        params=params,
-    )
+            given[key] = value
+    params = {key: given.pop(key) for key in _SUBCOMMANDS[args.subcommand][2] if key in given}
+    return RunConfig(args.subcommand, **{_FIELDS[key]: value for key, value in given.items()}, params=params)
 
 
 def main(argv=None) -> int:

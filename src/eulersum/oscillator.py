@@ -73,17 +73,12 @@ def _hermite_function_table(n_max: int, x: ArrayLike) -> np.ndarray:
     return out
 
 
-def _phi_recurrence(n: int, x: ArrayLike) -> np.ndarray:
-    """phi_n(x), the last row of the Hermite-function table."""
-    return _hermite_function_table(n, x)[n]
-
-
 def phi_osc(n: int, x: float) -> float:
     """Normalised eigenfunction phi_n(x) = (2^n n! sqrt(pi))^(-1/2)
     exp(-x^2/2) H_n(x), evaluated overflow-free for any n."""
     if n < 0:
         raise DomainError("n must be >= 0")
-    return float(_phi_recurrence(n, x))
+    return float(_hermite_function_table(n, x)[n])
 
 
 def _mehler_exponent(x: ArrayLike, y: ArrayLike, t: float) -> ArrayLike:

@@ -144,7 +144,7 @@ def abel_eval(seq: CoefficientSequence, t: float, tol: float) -> AbelEvaluation:
     n = seq.start_index
     block_size = _BLOCK_MIN
 
-    while n - seq.start_index < DEFAULT_TERM_BUDGET:
+    while True:
         block = min(block_size, DEFAULT_TERM_BUDGET - (n - seq.start_index))
         block_size = min(2 * block_size, _BLOCK_MAX)
         idx = np.arange(n, n + block, dtype=np.float64)
@@ -173,9 +173,12 @@ def abel_eval(seq: CoefficientSequence, t: float, tol: float) -> AbelEvaluation:
         if bound <= tol:
             return AbelEvaluation(t=t, value=total + comp, terms_used=n - seq.start_index,
                                   tail_bound=bound, wall_ms=(time.perf_counter() - start) * 1e3)
-
-    raise TailNotBounded(f"tail not certified below tol={tol!r} within {DEFAULT_TERM_BUDGET} terms "
-                         f"at t={t!r}")
+        # c_hat only grows, and a finite bound falls with n: if the bound at
+        # the end of the budget is not within tol now, no later block closes
+        # it.  At the end of the budget this is the bound just computed.
+        if not _certified_tail(c_hat, gamma, seq.start_index + DEFAULT_TERM_BUDGET, t) <= tol:
+            raise TailNotBounded(f"tail not certified below tol={tol!r} within {DEFAULT_TERM_BUDGET} terms "
+                                 f"at t={t!r}")
 
 
 def _neville_at_zero(us: list, fs: list) -> float:

@@ -94,11 +94,11 @@ def zeta_euler(s: float, cfg: Optional[EulerLimitConfig] = None) -> EulerLimitRe
     return euler_limit(alternating_sequence(s), cfg)
 
 
-def reference_value(s: float, tol: float = 1e-10) -> Optional[float]:
+def reference_value(s: float) -> Optional[float]:
     """Best available reference for zeta(s): table lookup, or direct
-    summation for s > 1; None when neither applies."""
+    summation for s > 1 to within 1e-10; None when neither applies."""
     if float(s) in KNOWN_VALUES:
         return KNOWN_VALUES[float(s)]
     if s > 1.0:
-        return zeta_direct(s, tol)
+        return zeta_direct(s, 1e-10)
     return None

@@ -145,12 +145,12 @@ def test_criterion_5_eigenprojection_both_systems():
                 worst = max(worst, abs(hamil - scale * 0.5 * m * m * t ** m * phi_well(m, x)))
     assert worst <= 1e-7
     worst_osc = 0.0
-    from eulersum.oscillator import _phi_recurrence
+    from eulersum.oscillator import _hermite_function_table
 
     for t in (0.2, 0.5, 0.9):
         for x in (-1.0, 0.0, 1.3):
             for m in range(0, 11):
-                g = lambda y, m=m: _phi_recurrence(m, y)
+                g = lambda y, m=m: _hermite_function_table(m, y)[m]
                 ident = osc_action(x, t, g, operator="identity")
                 hamil = osc_action(x, t, g, operator="hamiltonian")
                 worst_osc = max(worst_osc, abs(ident - t ** m * phi_osc(m, x)))

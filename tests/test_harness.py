@@ -235,6 +235,93 @@ def test_config_file_type_errors_are_usage_errors(tmp_path, argv, values, capsys
     assert not out.exists()
 
 
+def count_numerics(m):
+    """Record each entry into the numerics, through monkeypatch context ``m``."""
+    entered = []
+    for name in ("euler_limit", "_walk", "sweep"):
+        def entering(*args, name=name, original=getattr(eulersum.harness, name)):
+            entered.append(name)
+            return original(*args)
+
+        m.setattr(eulersum.harness, name, entering)
+    return entered
+
+
+@pytest.mark.parametrize(
+    "argv, values",
+    [
+        (["zeta"], {"tol": True, "s": -1}),
+        (["zeta"], {"s": True}),
+        (["zeta"], {"s": -1, "output": 5}),
+        (["zeta", "--s", "-1"], {"plain": "no"}),
+        (["zeta", "--s", "-1"], {"k-max": 3.7}),
+        (["sweep", "--kernel", "well", "--x", "1.0"], {}),
+        (["sweep", "--kernel", "well"], {"y": 1.0}),
+    ],
+)
+def test_mistyped_or_incomplete_input_is_a_usage_error(tmp_path, monkeypatch, argv, values, capsys):
+    monkeypatch.chdir(tmp_path)  # where a result file without --output would go
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    with monkeypatch.context() as m:
+        entered = count_numerics(m)
+        assert main([*argv, "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not entered and sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_library_config_types_each_value_once():
+    config = RunConfig(subcommand="sweep", k_max=3.0, params={"nx": "4", "ny": 2.0, "kernel": "osc"})
+    assert (config.k_max, config.params) == (3, {"kernel": "osc", "nx": 4, "ny": 2, "x": None, "y": None})
+    assert config.output_path == "sweep.csv"
+    for kwargs in ({"k_max": True}, {"k_max": 2.5}, {"t_ratio": "x"}, {"output_format": 1},
+                   {"params": {"nx": True}}, {"params": {"kernel": 3}}, {"params": {"s": 1.0}}):
+        with pytest.raises(InvalidConfig):
+            RunConfig(subcommand="sweep", **kwargs)
+
+
+# The keys each subcommand takes besides the common t-ratio, k-max, tol, format.
+_TAKES = {
+    "zeta": ("s", "plain"),
+    "well-delta": ("x",),
+    "well-hamiltonian": ("x",),
+    "well-integral": ("x", "a", "b"),
+    "osc-delta": ("x",),
+    "osc-hamiltonian": ("x",),
+    "mehler-check": (),
+    "sweep": ("kernel", "nx", "ny", "x", "y"),
+}
+_JSON_VALUES = st.one_of(
+    st.booleans(),
+    st.integers(-3, 3),
+    st.sampled_from([0.5, -0.25, 2.5, math.inf, -math.inf]),
+    st.sampled_from(["1", "-0.5", "abc", "", "well", "json"]),
+    st.lists(st.integers(0, 2), max_size=2),
+    st.none(),
+)
+
+
+@pytest.mark.parametrize("subcommand", sorted(_TAKES))
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_config_file_values_run_or_are_refused(tmp_path, monkeypatch, capsys, subcommand, data):
+    keys = ("t-ratio", "k-max", "tol", "format", *_TAKES[subcommand])
+    values = data.draw(st.dictionaries(st.sampled_from(keys), _JSON_VALUES))
+    cfg, out = tmp_path / "cfg.json", tmp_path / "r.out"
+    cfg.write_text(json.dumps(values))
+    out.unlink(missing_ok=True)
+    flags = ["--k-max", "2", *(["--nx", "2", "--ny", "2"] if subcommand == "sweep" else [])]
+    with monkeypatch.context() as m:
+        entered = count_numerics(m)
+        status = main([subcommand, *flags, "--config", str(cfg), "--output", str(out)])
+    err = capsys.readouterr().err
+    if status == 1:
+        assert err.startswith("error: ") and not out.exists() and not entered
+    else:
+        assert status in (0, 2) and out.exists() and not err
+
+
 def test_tail_not_bounded_keeps_the_rows_made(tmp_path, monkeypatch, capsys):
     made = []
     original = eulersum.resummation.abel_eval
@@ -255,6 +342,17 @@ def test_tail_not_bounded_keeps_the_rows_made(tmp_path, monkeypatch, capsys):
     ]
     # zeta(-2) = 0 is tabulated, so the rows keep their reference and error
     assert all(r.reference == 0.0 and r.abs_error == abs(r.value) for r in rows)
+
+
+def test_precision_limited_zeta_stops_where_its_term_budget_runs_out(tmp_path, monkeypatch, capsys):
+    made = counting_abel_eval(monkeypatch)
+    out = tmp_path / "z.csv"
+    assert main(["zeta", "--s", "-2", "--tol", "1e-12", "--output", str(out)]) == 2
+    # the 19th point, t = 1 - 2^-18, cannot be certified within the budget
+    assert capsys.readouterr().out == (
+        "[zeta] verdict=TailNotBounded detail=tail not certified below tol=1e-14 within 20000000 terms "
+        f"at t={1.0 - 2.0 ** -18!r} file={out}\n")
+    assert len(made) == len(read_rows(str(out))) == 18
 
 
 @pytest.mark.parametrize(
@@ -303,8 +401,8 @@ def test_schedule_reaching_t_one_is_a_usage_error(tmp_path, monkeypatch, argv, c
     def unreachable(config):
         raise AssertionError("runner reached")
 
-    default_k_max = eulersum.harness._SUBCOMMANDS[argv[0]][1]
-    monkeypatch.setitem(eulersum.harness._SUBCOMMANDS, argv[0], (unreachable, default_k_max))
+    _, *defaults = eulersum.harness._SUBCOMMANDS[argv[0]]
+    monkeypatch.setitem(eulersum.harness._SUBCOMMANDS, argv[0], (unreachable, *defaults))
     out = tmp_path / "r.csv"
     assert main([*argv, "--output", str(out)]) == 1
     assert "1.0 in double precision" in capsys.readouterr().err
@@ -313,7 +411,7 @@ def test_schedule_reaching_t_one_is_a_usage_error(tmp_path, monkeypatch, argv, c
 
 def test_schedule_limit_is_where_t_rounds_to_one(tmp_path, capsys):
     # 1 - 2^-53 is the largest double below 1; 1 - 2^-54 rounds to 1
-    assert RunConfig(subcommand="well-delta", k_max=53).resolved_k_max == 53
+    assert RunConfig(subcommand="well-delta", k_max=53).k_max == 53
     with pytest.raises(InvalidConfig):
         RunConfig(subcommand="well-delta", k_max=54)
     # zeta's k-max is a ceiling: euler_limit stops before t rounds to 1

@@ -242,9 +242,9 @@ def test_action_ground_state_projection():
 
 @pytest.mark.parametrize("m", [1, 4, 9])
 def test_action_identity_projection(m):
-    from eulersum.oscillator import _phi_recurrence
+    from eulersum.oscillator import _hermite_function_table
 
-    g = lambda y: _phi_recurrence(m, y)
+    g = lambda y: _hermite_function_table(m, y)[m]
     val = osc_action(-0.5, 0.7, g, operator="identity")
     assert val == pytest.approx(0.7 ** m * phi_osc(m, -0.5), abs=1e-9)
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from eulersum.errors import DomainError, InvalidConfig, NoEulerSum, TailNotBounded, TNotInUnitInterval
 from eulersum.resummation import (
+    DEFAULT_TERM_BUDGET,
     CoefficientSequence,
     EulerLimitConfig,
     abel_eval,
@@ -176,6 +177,23 @@ def test_abel_eval_failure_carries_the_evaluations_made(monkeypatch):
     with pytest.raises(TailNotBounded) as excinfo:
         euler_limit(alternating_unit(), EulerLimitConfig(tolerance=1e-14))
     assert excinfo.value.evaluations == made
+    assert excinfo.value.trace == [(e.t, e.value) for e in made]
+
+
+def test_abel_eval_gives_up_once_the_budget_cannot_close_the_bound():
+    blocks = []
+
+    def ones(n):
+        blocks.append(n.size)
+        return np.ones_like(n)
+
+    # the bound t^N / (1 - t) is still ~1e9 at N = DEFAULT_TERM_BUDGET
+    t, tol = 1.0 - 2.0 ** -30, 1e-10
+    with pytest.raises(TailNotBounded) as excinfo:
+        abel_eval(CoefficientSequence(ones, growth_hint=0.0), t, tol)
+    assert str(excinfo.value) == (f"tail not certified below tol={tol!r} within {DEFAULT_TERM_BUDGET} terms "
+                                  f"at t={t!r}")
+    assert len(blocks) == 1
 
 
 def test_result_trace_views_its_evaluations():
