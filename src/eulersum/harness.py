@@ -37,6 +37,8 @@ from .zeta import alternating_sequence, plain_sequence, reference_value
 # A sweep writes nx * ny * (k_max + 1) rows; the largest grid is refused
 # before it is built.
 _MAX_SWEEP_ROWS = 10 ** 6
+# Grid points per axis of a sweep without --nx/--ny.
+_GRID_SIDE = 50
 
 
 # The type of every input, by flag name, whether it comes from a flag, a
@@ -86,9 +88,11 @@ class RunConfig:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.subcommand not in _SUBCOMMANDS:
+        if not isinstance(self.subcommand, str) or self.subcommand not in _SUBCOMMANDS:
             raise InvalidConfig(f"unknown subcommand {self.subcommand!r}")
-        _, k_max, defaults = _SUBCOMMANDS[self.subcommand]
+        if not isinstance(self.params, dict):
+            raise InvalidConfig(f"params must be a dict, got {self.params!r}")
+        _, k_max, defaults, _ = _SUBCOMMANDS[self.subcommand]
         unset = {"k-max": k_max, "output": f"{self.subcommand}.{self.output_format}"}
         for key, name in _FIELDS.items():
             value = getattr(self, name)
@@ -355,8 +359,10 @@ def _sweep_grid(config: RunConfig):
     if (p["x"] is None) != (p["y"] is None):
         raise InvalidConfig("sweep takes --x and --y together, for a single point")
     if p["x"] is not None:
+        if p["nx"] is not None or p["ny"] is not None:
+            raise InvalidConfig("sweep takes --nx and --ny for a grid, not with --x and --y")
         return [(p["x"], p["y"])]
-    nx, ny = p["nx"], p["ny"]
+    nx, ny = (_GRID_SIDE if n is None else n for n in (p["nx"], p["ny"]))
     if nx < 1 or ny < 1:
         raise InvalidConfig("grid resolution must be positive")
     if nx * ny * (config.k_max + 1) > _MAX_SWEEP_ROWS:
@@ -372,18 +378,23 @@ def _run_sweep(config: RunConfig):
     return rows, max(abs(r.value) for r in rows), None, "ok"
 
 
-# Each subcommand's runner, default k_max and parameters with their
-# defaults (None: unset).  A runner returns (rows, value, error_estimate,
-# verdict); run() alone turns that into the summary and the exit status.
+# Each subcommand's runner, default k_max, parameters with their defaults
+# (None: unset) and help line.  A runner returns (rows, value,
+# error_estimate, verdict); run() alone turns that into the summary and the
+# exit status.
 _SUBCOMMANDS = {
-    "zeta": (_run_zeta, 40, {"s": None, "plain": False}),
-    "well-delta": (_run_action, 10, {"x": 1.0}),
-    "well-hamiltonian": (_run_action, 10, {"x": 1.0}),
-    "well-integral": (_run_well_integral, 40, {"x": 1.0, "a": 0.5, "b": 1.5}),
-    "osc-delta": (_run_action, 10, {"x": 0.5}),
-    "osc-hamiltonian": (_run_action, 10, {"x": 0.5}),
-    "mehler-check": (_run_mehler_check, 8, {}),
-    "sweep": (_run_sweep, 6, {"kernel": "well", "nx": 50, "ny": 50, "x": None, "y": None}),
+    "zeta": (_run_zeta, 40, {"s": None, "plain": False}, "Euler-sum the alternating zeta series at s"),
+    "well-delta": (_run_action, 10, {"x": 1.0}, "identity action of the square-well kernel on y(pi - y)"),
+    "well-hamiltonian": (_run_action, 10, {"x": 1.0},
+                         "Hamiltonian action of the square-well kernel on y(pi - y)"),
+    "well-integral": (_run_well_integral, 40, {"x": 1.0, "a": 0.5, "b": 1.5},
+                      "interval integral of the square-well kernel"),
+    "osc-delta": (_run_action, 10, {"x": 0.5}, "identity action of the oscillator kernel on exp(-y^2)"),
+    "osc-hamiltonian": (_run_action, 10, {"x": 0.5},
+                        "Hamiltonian action of the oscillator kernel on exp(-y^2)"),
+    "mehler-check": (_run_mehler_check, 8, {}, "closed form vs series on a fixed grid"),
+    "sweep": (_run_sweep, 6, {"kernel": "well", "nx": None, "ny": None, "x": None, "y": None},
+              "kernel values on a grid for each t"),
 }
 
 def run(config: RunConfig) -> int:
@@ -415,54 +426,29 @@ class _Parser(argparse.ArgumentParser):
         raise InvalidConfig(message)
 
 
-# Flags are read as text and left None when absent; RunConfig types them as
-# it types config-file values.
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--t-ratio", help="schedule ratio r in t_k = 1 - r^k")
-    sub.add_argument("--k-max", help="deepest schedule index k")
-    sub.add_argument("--tol", help="convergence tolerance")
-    sub.add_argument("--output", help="result file path")
-    sub.add_argument("--format", choices=("csv", "json"), help="result file format")
-    sub.add_argument("--config", help="JSON file with flag defaults (flags win)")
+_HELP = {
+    "t-ratio": "schedule ratio r in t_k = 1 - r^k", "k-max": "deepest schedule index k",
+    "tol": "convergence tolerance", "output": "result file path", "format": "result file format: csv or json",
+    "config": "JSON file with flag defaults (flags win)", "s": "evaluation point",
+    "plain": "Euler-sum the raw series sum(n^-s) instead (fails for s <= 1)", "x": "evaluation point x",
+    "y": "with --x, one sweep point instead of a grid", "a": "interval start", "b": "interval end",
+    "kernel": f"sweep kernel: {', '.join(_SWEEP_KERNELS)}", "nx": f"grid points in x (default {_GRID_SIDE})",
+    "ny": f"grid points in y (default {_GRID_SIDE})",
+}
 
 
 @lru_cache(maxsize=None)  # built once: parse_args keeps no state on the parser
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per _SUBCOMMANDS entry, taking its parameters, the
+    RunConfig fields and --config.  Flags are read as text and left None
+    when absent; RunConfig types them as it types config-file values."""
     parser = _Parser(prog="eulersum", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = subs.add_parser("zeta", help="Euler-sum the alternating zeta series at s")
-    p.add_argument("--s", help="evaluation point")
-    p.add_argument("--plain", action="store_true", default=None,
-                   help="Euler-sum the raw series sum(n^-s) instead (fails for s <= 1)")
-    _add_common(p)
-
-    for name, desc in (
-        ("well-delta", "identity action of the square-well kernel on y(pi - y)"),
-        ("well-hamiltonian", "Hamiltonian action of the square-well kernel on y(pi - y)"),
-        ("osc-delta", "identity action of the oscillator kernel on exp(-y^2)"),
-        ("osc-hamiltonian", "Hamiltonian action of the oscillator kernel on exp(-y^2)"),
-    ):
-        p = subs.add_parser(name, help=desc)
-        p.add_argument("--x", help="evaluation point x")
-        _add_common(p)
-
-    p = subs.add_parser("well-integral", help="interval integral of the square-well kernel")
-    p.add_argument("--x")
-    p.add_argument("--a")
-    p.add_argument("--b")
-    _add_common(p)
-
-    p = subs.add_parser("mehler-check", help="closed form vs series on a fixed grid")
-    _add_common(p)
-
-    p = subs.add_parser("sweep", help="kernel values on a grid for each t")
-    p.add_argument("--kernel", choices=sorted(_SWEEP_KERNELS))
-    p.add_argument("--nx")
-    p.add_argument("--ny")
-    p.add_argument("--x", help="evaluate a single point instead of a grid")
-    p.add_argument("--y")
-    _add_common(p)
+    for name, (_, _, defaults, help_line) in _SUBCOMMANDS.items():
+        sub = subs.add_parser(name, help=help_line)
+        for key in (*defaults, *_FIELDS, "config"):
+            action = "store_true" if _TYPES.get(key) is bool else "store"
+            sub.add_argument(f"--{key}", action=action, default=None, help=_HELP[key])
     return parser
 
 

@@ -117,17 +117,23 @@ def k_kernel(p: WellKernelPoint) -> float:
     return float(_k(p.x, p.y, p.t))
 
 
+def _weighted_series(p: WellKernelPoint, n_max: int, power: int) -> float:
+    """Truncated sum (2/pi) sum_{n<=n_max} E_n^power t^n sin(nx) sin(ny),
+    E_n = n^2/2."""
+    if n_max < 1:
+        raise DomainError("n_max must be >= 1")
+    ns = np.arange(1, n_max + 1, dtype=np.float64)
+    terms = (2.0 / PI) * (ns ** 2 / 2.0) ** power * p.t ** ns * np.sin(ns * p.x) * np.sin(ns * p.y)
+    return math.fsum(terms)
+
+
 def k_series(p: WellKernelPoint, n_max: int) -> float:
     """Truncated sum (2/pi) sum_{n<=n_max} t^n sin(nx) sin(ny).
 
     Serves as the independent oracle for k_kernel; the omitted tail is
     bounded by (2/pi) t^(n_max+1) / (1 - t).
     """
-    if n_max < 1:
-        raise DomainError("n_max must be >= 1")
-    ns = np.arange(1, n_max + 1, dtype=np.float64)
-    terms = (2.0 / PI) * p.t ** ns * np.sin(ns * p.x) * np.sin(ns * p.y)
-    return math.fsum(terms)
+    return _weighted_series(p, n_max, 0)
 
 
 def h_kernel(p: WellKernelPoint) -> float:
@@ -137,11 +143,7 @@ def h_kernel(p: WellKernelPoint) -> float:
 
 def h_series(p: WellKernelPoint, n_max: int) -> float:
     """Truncated sum (1/pi) sum_{n<=n_max} n^2 t^n sin(nx) sin(ny)."""
-    if n_max < 1:
-        raise DomainError("n_max must be >= 1")
-    ns = np.arange(1, n_max + 1, dtype=np.float64)
-    terms = (1.0 / PI) * ns ** 2 * p.t ** ns * np.sin(ns * p.x) * np.sin(ns * p.y)
-    return math.fsum(terms)
+    return _weighted_series(p, n_max, 1)
 
 
 def _arg_f_folded(u: float, t: float) -> float:

@@ -89,8 +89,6 @@ def zeta_euler(s: float, cfg: Optional[EulerLimitConfig] = None) -> EulerLimitRe
     negative s the Abel evaluations are swamped by cancellation noise and
     NoEulerSum propagates instead of a silently wrong value.
     """
-    if s == 1.0:
-        raise DomainError("zeta has a pole at s = 1")
     return euler_limit(alternating_sequence(s), cfg)
 
 

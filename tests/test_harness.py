@@ -1,5 +1,6 @@
 """CLI harness: exit codes, result files, determinism, round-trips."""
 
+import argparse
 import json
 import math
 import os
@@ -257,6 +258,10 @@ def count_numerics(m):
         (["zeta", "--s", "-1"], {"k-max": 3.7}),
         (["sweep", "--kernel", "well", "--x", "1.0"], {}),
         (["sweep", "--kernel", "well"], {"y": 1.0}),
+        (["sweep", "--x", "1", "--y", "2", "--nx", "5", "--ny", "7"], {}),
+        (["sweep", "--x", "1", "--y", "2"], {"ny": 7}),
+        (["sweep", "--kernel", "foo"], {}),
+        (["sweep", "--format", "xml"], {}),
     ],
 )
 def test_mistyped_or_incomplete_input_is_a_usage_error(tmp_path, monkeypatch, argv, values, capsys):
@@ -276,9 +281,10 @@ def test_library_config_types_each_value_once():
     assert (config.k_max, config.params) == (3, {"kernel": "osc", "nx": 4, "ny": 2, "x": None, "y": None})
     assert config.output_path == "sweep.csv"
     for kwargs in ({"k_max": True}, {"k_max": 2.5}, {"t_ratio": "x"}, {"output_format": 1},
-                   {"params": {"nx": True}}, {"params": {"kernel": 3}}, {"params": {"s": 1.0}}):
+                   {"params": {"nx": True}}, {"params": {"kernel": 3}}, {"params": {"s": 1.0}},
+                   {"params": [("nx", 1)]}, {"params": None}, {"subcommand": ["zeta"]}, {"subcommand": 1}):
         with pytest.raises(InvalidConfig):
-            RunConfig(subcommand="sweep", **kwargs)
+            RunConfig(**{"subcommand": "sweep", **kwargs})
 
 
 # The keys each subcommand takes besides the common t-ratio, k-max, tol, format.
@@ -292,6 +298,19 @@ _TAKES = {
     "mehler-check": (),
     "sweep": ("kernel", "nx", "ny", "x", "y"),
 }
+
+
+def test_each_subcommand_takes_its_parameters_and_the_common_flags():
+    subparsers = next(a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(subparsers) == sorted(_TAKES)
+    for name, sub in subparsers.items():
+        flags = {f for action in sub._actions for f in action.option_strings} - {"-h", "--help"}
+        common = ("t-ratio", "k-max", "tol", "output", "format", "config")
+        expected = {f"--{key}" for key in (*_TAKES[name], *common)}
+        params = eulersum.harness._SUBCOMMANDS[name][2]
+        assert flags == expected == {f"--{key}" for key in (*params, *eulersum.harness._FIELDS, "config")}
+
+
 _JSON_VALUES = st.one_of(
     st.booleans(),
     st.integers(-3, 3),
@@ -771,6 +790,11 @@ def test_sweep_grid_row_cap(monkeypatch):
     assert main(["sweep", "--nx", "1000000", "--ny", "1000000"]) == 1
     config = RunConfig(subcommand="sweep", params={"kernel": "osc-h", "nx": 100, "ny": 100})
     assert len(sweep(config, eulersum.harness._sweep_grid(config))) == 100 * 100 * 7
+
+
+def test_sweep_grid_is_50_points_on_each_unset_axis():
+    assert len(eulersum.harness._sweep_grid(RunConfig(subcommand="sweep"))) == 50 * 50
+    assert len(eulersum.harness._sweep_grid(RunConfig(subcommand="sweep", params={"nx": 5}))) == 5 * 50
 
 
 def test_sweep_row_order():
