@@ -30,7 +30,7 @@ import numpy as np
 
 from . import oscillator as osc
 from . import square_well as sw
-from .errors import EulerSumError, InvalidConfig
+from .errors import DomainError, EulerSumError, InvalidConfig
 from .resummation import INNER_TOL_FACTOR, EulerLimitConfig, abel_eval, euler_limit
 from .zeta import alternating_sequence, plain_sequence, reference_value
 
@@ -330,6 +330,7 @@ _SWEEP_KERNELS = {
 }
 
 
+@np.errstate(all="ignore")  # a non-finite kernel value is reported as a DomainError
 def sweep(config: RunConfig, grid) -> list:
     """Evaluate the selected kernel on every grid point (x, y) for each t in
     the schedule, one array call per t over the whole grid; rows are ordered
@@ -349,6 +350,11 @@ def sweep(config: RunConfig, grid) -> list:
         start = time.perf_counter()
         values[:, k] = _SWEEP_KERNELS[kernel_name](xs, ys, ts[-1])
         walls.append((time.perf_counter() - start) * 1e3 / n)
+    finite = np.isfinite(values)
+    if not finite.all():
+        i, k = np.unravel_index(np.argmin(finite), finite.shape)
+        raise DomainError(f"sweep --kernel {kernel_name} is not finite at x={float(xs[i])!r}, "
+                          f"y={float(ys[i])!r}, t={ts[k]!r}")
     columns = ([*range(nk)] * n, ts * n, values.ravel().tolist(), repeat(None), repeat(None), walls * n,
                np.repeat(xs, nk).tolist(), np.repeat(ys, nk).tolist())
     return list(map(tuple.__new__, repeat(SweepRow), zip(*columns)))

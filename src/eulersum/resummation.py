@@ -41,12 +41,14 @@ INNER_TOL_FACTOR = 100.0
 
 @dataclass(frozen=True)
 class CoefficientSequence:
-    """Vectorised term oracle n -> a_n defining a (possibly divergent) series.
+    """Vectorised term oracle defining a (possibly divergent) series sum(a_n).
 
+    ``growth_hint`` gamma asserts |a_n| <= C * n^gamma for some C.
     ``term_block`` maps an ndarray of integer-valued float indices
-    n >= start_index to finite coefficients.  ``growth_hint`` gamma asserts
-    |a_n| <= C * n^gamma for some C; the constant is estimated from the
-    computed terms and closes a geometric tail bound.
+    n >= start_index to the normalised coefficients
+    b_n = a_n / max(n, 1)^gamma, which are bounded by C; abel_eval forms
+    a_n = b_n * max(n, 1)^gamma, and estimates C from the b_n it has seen
+    to close a geometric tail bound.
     """
 
     term_block: Callable[[np.ndarray], np.ndarray]
@@ -124,6 +126,9 @@ def _certified_tail(c_hat: float, gamma: float, n_next: int, t: float) -> float:
     return lead / (1.0 - rho)
 
 
+# Overflow and 0 * inf surface as non-finite a_n, which the finite check
+# reports; numpy's own warnings would only repeat it.
+@np.errstate(all="ignore")
 def abel_eval(seq: CoefficientSequence, t: float, tol: float) -> AbelEvaluation:
     """Evaluate f(t) = sum(a_n t^n) for t in [0, 1), truncated once the
     geometric tail bound from the growth hint drops below ``tol``.
@@ -143,32 +148,34 @@ def abel_eval(seq: CoefficientSequence, t: float, tol: float) -> AbelEvaluation:
     c_hat = 0.0
     n = seq.start_index
     block_size = _BLOCK_MIN
+    powers = np.power(t, np.arange(_BLOCK_MIN, dtype=np.float64))  # powers[j] = t^j
 
     while True:
         block = min(block_size, DEFAULT_TERM_BUDGET - (n - seq.start_index))
         block_size = min(2 * block_size, _BLOCK_MAX)
+        if block > powers.size:
+            powers = np.concatenate((powers, np.power(t, np.arange(powers.size, block, dtype=np.float64))))
         idx = np.arange(n, n + block, dtype=np.float64)
         try:
-            coeffs = np.asarray(seq.term_block(idx), dtype=np.float64)
+            normed = np.asarray(seq.term_block(idx), dtype=np.float64)
         except OverflowError:
             raise TailNotBounded(
                 f"coefficients overflow double precision near n={n}; "
                 "the tail cannot be evaluated, let alone bounded"
             )
+        coeffs = normed if gamma == 0.0 else normed * (idx if n else np.maximum(idx, 1.0)) ** gamma
         if not np.all(np.isfinite(coeffs)):
             raise DomainError(f"non-finite coefficient near n={n}")
-        block_sum = float(np.sum(coeffs * np.power(t, idx)))
+        block_sum = float(np.sum(coeffs * (powers[:block] * t ** n)))
         s = total + block_sum
         if abs(total) >= abs(block_sum):
             comp += (total - s) + block_sum
         else:
             comp += (block_sum - s) + total
         total = s
+        c_hat = max(c_hat, float(np.max(np.abs(normed if n else normed[1:]))))
         n += block
 
-        pos = idx >= 1.0
-        if np.any(pos):
-            c_hat = max(c_hat, float(np.max(np.abs(coeffs[pos]) / idx[pos] ** gamma)))
         bound = _certified_tail(c_hat, gamma, n, t)
         if bound <= tol:
             return AbelEvaluation(t=t, value=total + comp, terms_used=n - seq.start_index,

@@ -228,12 +228,13 @@ def well_action_sequence(x: float, p: int) -> CoefficientSequence:
     g = y(pi - y) at x in (0, pi): g_n = sqrt(2/pi) 4/n^3 for odd n (0 for
     even n) and E_n = n^2/2 give a_n = (8/pi) (n^2/2)^p sin(nx)/n^3 over odd
     n, i.e. (8/pi) sin(nx)/n^3 (identity) and (4/pi) sin(nx)/n (H).  The
-    growth hint 2p - 3 lets abel_eval certify the geometric tail."""
+    growth hint 2p - 3 lets abel_eval certify the geometric tail; the
+    normalised b_n = a_n / n^(2p - 3) are (8/pi) 2^-p sin(nx) over odd n."""
     if not 0.0 < x < PI:
         raise DomainError(f"x={x!r} must lie in (0, pi)")
     scale = 8.0 / PI * 0.5 ** p
 
     def term_block(n: np.ndarray) -> np.ndarray:
-        return (n.astype(np.int64) & 1) * scale * np.sin(n * x) * n ** (2.0 * p - 3.0)
+        return (n.astype(np.int64) & 1) * scale * np.sin(n * x)
 
     return CoefficientSequence(term_block, growth_hint=2.0 * p - 3.0, start_index=1)

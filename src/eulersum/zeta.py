@@ -35,14 +35,15 @@ KNOWN_VALUES = {
 
 
 def alternating_sequence(s: float) -> CoefficientSequence:
-    """Coefficients a_n = (-1)^(n+1) n^-s / (1 - 2^(1-s)), n >= 1."""
+    """Coefficients a_n = (-1)^(n+1) n^-s / (1 - 2^(1-s)), n >= 1; the
+    normalised b_n = a_n / n^-s is the prefactor with the sign of a_n."""
     if s == 1.0:
         raise DomainError("prefactor pole at s = 1")
     pref = 1.0 / (1.0 - 2.0 ** (1.0 - s))
+    by_parity = np.array([-pref, pref])
 
     def term_block(idx: np.ndarray) -> np.ndarray:
-        sign = 1.0 - 2.0 * ((idx.astype(np.int64) & 1) == 0)
-        return pref * sign * idx ** (-s)
+        return by_parity.take(idx.astype(np.int64) & 1)
 
     return CoefficientSequence(term_block, growth_hint=-s, start_index=1)
 
@@ -52,13 +53,9 @@ def plain_sequence(s: float) -> CoefficientSequence:
 
     For s = 0 this is the all-ones series 1 + 1 + 1 + ..., which has no
     Euler sum; feeding it to euler_limit exercises the honest-failure
-    path.
+    path.  The normalised b_n = a_n / n^-s are all ones.
     """
-
-    def term_block(idx: np.ndarray) -> np.ndarray:
-        return idx ** (-s)
-
-    return CoefficientSequence(term_block, growth_hint=-s, start_index=1)
+    return CoefficientSequence(np.ones_like, growth_hint=-s, start_index=1)
 
 
 def zeta_direct(s: float, tol: float) -> float:

@@ -778,6 +778,31 @@ def test_cli_sweep_out_of_domain_point_exits_one(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kernel, x, y", [("osc", "1e300", "0"), ("osc-h", "1e200", "1e200")])
+def test_cli_sweep_non_finite_kernel_value_exits_two(tmp_path, capsys, kernel, x, y):
+    # the quadratic form in the kernel's exponent overflows to inf - inf
+    out = tmp_path / "pt.csv"
+    assert main(["sweep", "--kernel", kernel, "--x", x, "--y", y, "--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert (f"verdict=DomainError detail=sweep --kernel {kernel} is not finite at "
+            f"x={float(x)!r}, y={float(y)!r}, t=0.0") in captured.out
+    assert captured.err == ""
+    assert read_rows(str(out)) == []
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("s, rc, summary", [
+    ("-400", 2, "verdict=DomainError detail=non-finite coefficient near n=1"),
+    ("1e300", 0, "value=1 error_estimate=0 verdict=converged"),
+])
+def test_cli_zeta_at_extreme_s_reports_without_numpy_warnings(tmp_path, capsys, s, rc, summary):
+    # n^400 overflows at n = 6; n^-1e300 underflows to 0 for n >= 2
+    assert main(["zeta", "--s", s, "--output", str(tmp_path / "z.csv")]) == rc
+    captured = capsys.readouterr()
+    assert summary in captured.out and captured.err == ""
+
+
 def test_sweep_grid_row_cap(monkeypatch):
     def no_grid(*args, **kwargs):
         raise AssertionError("grid built")

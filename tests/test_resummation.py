@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,10 @@ from eulersum.resummation import (
     abel_eval,
     euler_limit,
 )
+from eulersum.square_well import well_action_sequence
+from eulersum.zeta import alternating_sequence, plain_sequence
+
+EPS = np.finfo(float).eps
 
 
 def geometric(q):
@@ -28,11 +33,19 @@ def alternating_unit():
 
 
 def coefficients(seq, n_terms):
-    return seq.term_block(np.arange(seq.start_index, seq.start_index + n_terms, dtype=np.float64))
+    # a_n = b_n * max(n, 1)^gamma from the normalised coefficients b_n
+    n = np.arange(seq.start_index, seq.start_index + n_terms, dtype=np.float64)
+    return seq.term_block(n) * np.maximum(n, 1.0) ** seq.growth_hint
 
 
 def brute_partial(seq, t, n_terms):
     return math.fsum(a * t ** n for n, a in enumerate(coefficients(seq, n_terms).tolist(), seq.start_index))
+
+
+def abs_scale(seq, t, n_terms):
+    """sum |a_n| t^n over the first n_terms terms: the roundoff scale of f(t)."""
+    n = np.arange(seq.start_index, seq.start_index + n_terms, dtype=np.float64)
+    return math.fsum(np.abs(coefficients(seq, n_terms)) * t ** n)
 
 
 def test_alternating_closed_form_at_half():
@@ -43,7 +56,8 @@ def test_alternating_closed_form_at_half():
 
 
 def test_square_well_growth_against_brute_force():
-    seq = CoefficientSequence(lambda n: n ** 2, growth_hint=2.0, start_index=1)
+    # a_n = n^2: b_n = a_n / n^2 = 1
+    seq = CoefficientSequence(np.ones_like, growth_hint=2.0, start_index=1)
     ev = abel_eval(seq, 0.9, 1e-8)
     oracle = math.fsum(n ** 2 * 0.9 ** n for n in range(1, 501))
     assert ev.value == pytest.approx(oracle, abs=1e-8)
@@ -56,13 +70,15 @@ def test_t_outside_unit_interval_rejected(t):
 
 
 def test_tail_bound_within_tolerance_on_success():
-    seq = CoefficientSequence(lambda n: (-1.0) ** (n + 1) * n, growth_hint=1.0, start_index=1)
+    # a_n = (-1)^(n+1) n
+    seq = CoefficientSequence(lambda n: (-1.0) ** (n + 1), growth_hint=1.0, start_index=1)
     ev = abel_eval(seq, 0.97, 1e-9)
     assert 0.0 <= ev.tail_bound <= 1e-9
 
 
 def test_value_matches_brute_partial_sum_with_same_term_count():
-    seq = CoefficientSequence(lambda n: (-1.0) ** (n + 1) * n ** 0.5, growth_hint=0.5, start_index=1)
+    # a_n = (-1)^(n+1) n^0.5
+    seq = CoefficientSequence(lambda n: (-1.0) ** (n + 1), growth_hint=0.5, start_index=1)
     for t in (0.0, 0.3, 0.9, 0.99):
         ev = abel_eval(seq, t, 1e-8)
         oracle = brute_partial(seq, t, ev.terms_used)
@@ -97,14 +113,15 @@ def test_euler_limit_all_ones_has_no_sum():
 
 
 def test_euler_limit_one_two_three_has_no_sum():
-    naturals = CoefficientSequence(lambda n: n, growth_hint=1.0, start_index=1)
+    # a_n = n: b_n = 1
+    naturals = CoefficientSequence(np.ones_like, growth_hint=1.0, start_index=1)
     with pytest.raises(NoEulerSum):
         euler_limit(naturals)
 
 
 def test_euler_limit_minus_one_twelfth():
-    # -1/3, +2/3, -3/3, +4/3, ...
-    seq = CoefficientSequence(lambda n: (-1.0) ** n * n / 3.0, growth_hint=1.0, start_index=1)
+    # -1/3, +2/3, -3/3, +4/3, ...: b_n = a_n / n = (-1)^n / 3
+    seq = CoefficientSequence(lambda n: (-1.0) ** n / 3.0, growth_hint=1.0, start_index=1)
     res = euler_limit(seq)
     assert res.converged
     assert res.value == pytest.approx(-1.0 / 12.0, abs=1e-7)
@@ -122,7 +139,8 @@ def test_euler_limit_of_convergent_geometric():
         (lambda n: 0.5 ** n, 0, 0.0, 2.0),
         # 1/n! by lgamma: math.factorial(n) overflows a float past n = 170
         (lambda n: np.exp(-np.array([math.lgamma(k + 1.0) for k in n])), 0, 0.0, math.e),
-        (lambda n: (-1.0) ** (n + 1) / n ** 2, 1, -2.0, math.pi ** 2 / 12.0),
+        # a_n = (-1)^(n+1) / n^2, given as b_n = a_n * n^2
+        (lambda n: (-1.0) ** (n + 1), 1, -2.0, math.pi ** 2 / 12.0),
     ],
 )
 def test_consistency_with_ordinary_sums(term, start, hint, expected):
@@ -232,3 +250,64 @@ def test_bad_config_rejected(kwargs):
 def test_negative_start_index_rejected():
     with pytest.raises(DomainError):
         CoefficientSequence(np.ones_like, growth_hint=0.0, start_index=-1)
+
+
+# Summation error scale eps * sum |a_n| t^n (Higham, Accuracy and Stability
+# of Numerical Algorithms, 2nd ed., ch. 4); the tail is cut 16x below it.
+@pytest.mark.parametrize("s", [-4.5, -3.3, -2.5, -1.0, 0.5, 2.0])
+@pytest.mark.parametrize("t", [0.5, 0.9, 0.99, 0.999])
+def test_alternating_zeta_matches_polylog_to_roundoff(s, t):
+    # sum (-1)^(n+1) n^-s t^n = -Li_s(-t), and sum n^-s t^n = Li_s(t)
+    pref = 1.0 / (1.0 - 2.0 ** (1.0 - s))
+    with mpmath.workdps(30):
+        exact = float(mpmath.re(-pref * mpmath.polylog(s, -t)))
+        scale = float(mpmath.re(abs(pref) * mpmath.polylog(s, t)))
+    ev = abel_eval(alternating_sequence(s), t, EPS * scale / 16.0)
+    assert abs(ev.value - exact) <= 4.0 * EPS * scale
+
+
+@pytest.mark.parametrize("p", [0, 1, 2])
+@pytest.mark.parametrize("x", [0.3, 1.0, 2.5])
+@pytest.mark.parametrize("t", [0.5, 0.9, 0.99])
+def test_well_action_series_matches_polylog_to_roundoff(p, x, t):
+    # sum over odd n of n^(2p-3) z^n = Li_{3-2p}(z) - 2^(2p-3) Li_{3-2p}(z^2)
+    seq = well_action_sequence(x, p)
+    with mpmath.workdps(30):
+        z = t * mpmath.expj(x)
+        odd = mpmath.polylog(3 - 2 * p, z) - mpmath.mpf(2) ** (2 * p - 3) * mpmath.polylog(3 - 2 * p, z * z)
+        exact = float(8.0 / mpmath.pi * mpmath.mpf(2) ** -p * mpmath.im(odd))
+    scale = abs_scale(seq, t, 10 * abel_eval(seq, t, 1e-3).terms_used)
+    ev = abel_eval(seq, t, EPS * scale / 16.0)
+    assert abs(ev.value - exact) <= 4.0 * EPS * scale
+
+
+# terms_used and tail_bound as computed when term_block returned a_n and the
+# constant C was estimated as max |a_n| / n^gamma: the same truncation, and a
+# bound within a few ulps, show that max |b_n| estimates the same C.
+@pytest.mark.parametrize(
+    "seq, t, tol, terms, tail",
+    [
+        (lambda: alternating_sequence(-1.0), 0.9, 1e-10, 384, 3.1767167540768705e-15),
+        (lambda: alternating_sequence(-2.5), 0.99, 1e-10, 8064, 3.668413360124033e-25),
+        (lambda: alternating_sequence(0.5), 0.999, 1e-08, 24448, 3.675079786431577e-10),
+        (lambda: plain_sequence(2.0), 0.5, 1e-12, 128, 1.7659611063371905e-43),
+        (lambda: well_action_sequence(1.0, 1), 0.9, 1e-10, 384, 7.994867490460099e-20),
+        (lambda: well_action_sequence(0.3, 2), 0.99, 1e-08, 3968, 1.2291891355496558e-12),
+    ],
+)
+def test_truncation_matches_the_unnormalised_coefficients(seq, t, tol, terms, tail):
+    ev = abel_eval(seq(), t, tol)
+    assert ev.terms_used == terms
+    assert ev.tail_bound == pytest.approx(tail, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("gamma, power_sum", [(2.0, 6.0), (-2.0, math.pi ** 2 / 12.0 - math.log(2.0) ** 2 / 2.0)])
+def test_start_index_zero_takes_b0_as_a0(gamma, power_sum):
+    # max(0, 1)^gamma = 1, so a_0 = b_0 = 5 even where 0^gamma is infinite;
+    # at t = 1/2, sum n^2 t^n = t(1 + t)/(1 - t)^3 = 6 and sum n^-2 t^n = Li_2(1/2)
+    seq = CoefficientSequence(lambda n: np.where(n == 0, 5.0, 1.0), growth_hint=gamma)
+    ev = abel_eval(seq, 0.5, 1e-13)
+    assert ev.value == pytest.approx(5.0 + power_sum, abs=1e-13)
+    # C is estimated over n >= 1 only: b_0 does not move the truncation
+    ones = abel_eval(CoefficientSequence(np.ones_like, growth_hint=gamma), 0.5, 1e-13)
+    assert (ev.terms_used, ev.tail_bound) == (ones.terms_used, ones.tail_bound)

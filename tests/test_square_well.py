@@ -348,7 +348,8 @@ def test_well_action_sequence_coefficients(p):
     n = np.arange(1.0, 40.0)
     overlap = [math.sqrt(2.0 / PI) * (4.0 / k ** 3 if k % 2 else 0.0) for k in range(1, 40)]
     expected = (n * n / 2.0) ** p * np.array(overlap) * np.sqrt(2.0 / PI) * np.sin(n * x)
-    np.testing.assert_allclose(seq.term_block(n), expected, rtol=1e-14, atol=0.0)
+    # term_block gives b_n = a_n / n^(2p - 3)
+    np.testing.assert_allclose(seq.term_block(n) * n ** (2.0 * p - 3.0), expected, rtol=1e-14, atol=0.0)
     assert seq.start_index == 1 and seq.growth_hint == 2 * p - 3
     for bad in (0.0, PI, -1.0, 5.0):
         with pytest.raises(DomainError):

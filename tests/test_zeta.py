@@ -102,7 +102,8 @@ def test_alternating_term_block_matches_term(s):
     big = np.array([2.0 ** 40 + 1, 2.0 ** 40 + 2, 2.0 ** 52 - 1, 2.0 ** 52])
     for idx in (ns[::3], ns[1::2], ns[::2], ns[::-7], big):
         assert not idx.flags.c_contiguous or idx is big
-        block = seq.term_block(idx)
+        # a_n = b_n * n^-s from the normalised coefficients b_n
+        block = seq.term_block(idx) * idx ** seq.growth_hint
         # the scalar oracle: sign by integer parity, libm's pow per term
         scalar = np.array([pref * (-1.0) ** (int(n) + 1) * float(n) ** (-s) for n in idx])
         # the integer-parity sign is bit-identical to the float-modulus one
