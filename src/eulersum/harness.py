@@ -157,11 +157,12 @@ def _format_column(name: str, col, none: str) -> list:
     return np.array(list(map(float.__repr__, bits.view(np.float64).tolist())), dtype=object)[where].tolist()
 
 
-def write_rows(path: str, rows: list, output_format: str) -> None:
+def write_rows(path: str, rows: list, output_format: str, row_type=ResultRow) -> None:
     """Serialise rows column by column; float cells use repr so parsing
     round-trips exactly.  JSON output equals json.dumps(indent=2,
-    sort_keys=True) of {"rows": [...]}."""
-    names = rows[0]._fields if rows else ResultRow._fields
+    sort_keys=True) of {"rows": [...]}; with no rows, of {"columns":
+    [row_type's fields], "rows": []}, so every file names its columns."""
+    names = (rows[0] if rows else row_type)._fields
     cols = zip(*rows)
     if output_format == "csv":
         cells = [_format_column(n, c, "") for n, c in zip(names, cols)]
@@ -172,7 +173,8 @@ def write_rows(path: str, rows: list, output_format: str) -> None:
         cells = [list(map(_JSON_NON_FINITE.get, c, c)) for c in cells]
         template = "    {\n" + ",\n".join(f'      "{n}": %s' for n, _ in by_name) + "\n    }"
         body = ",\n".join(map(template.__mod__, zip(*cells)))
-        lines = ["{", '  "rows": [', body, "  ]", "}"] if rows else ["{", '  "rows": []', "}"]
+        lines = (["{", '  "rows": [', body, "  ]", "}"] if rows else
+                 json.dumps({"columns": names, "rows": []}, indent=2, sort_keys=True).splitlines())
     Path(path).write_text("\n".join([*lines, ""]), encoding="utf-8")
 
 
@@ -418,7 +420,8 @@ def run(config: RunConfig) -> int:
     except EulerSumError as exc:
         rows = getattr(exc, "rows", [])
         summary = {"verdict": type(exc).__name__, "detail": str(exc)}
-    write_rows(config.output_path, rows, config.output_format)
+    row_type = SweepRow if config.subcommand == "sweep" else ResultRow
+    write_rows(config.output_path, rows, config.output_format, row_type)
     parts = [f"{k}={v:.12g}" if isinstance(v, float) else f"{k}={v}"
              for k, v in summary.items() if v is not None]
     print(" ".join([f"[{config.subcommand}]", *parts, f"file={config.output_path}"]))

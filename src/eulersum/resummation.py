@@ -34,6 +34,10 @@ DEFAULT_TERM_BUDGET = 20_000_000
 # Schedule points the Neville extrapolant runs through.
 _EXTRAPOLATION_ORDER = 6
 
+# Steady growth: differences of f = A u^-alpha + B + o(1) at t_k cancel B
+# and grow by ratio^-alpha per step; above _GROWTH_MIN, within _GROWTH_SPREAD.
+_GROWTH_MIN, _GROWTH_SPREAD = 1.05, 1.05
+
 # f(t_k) is evaluated this much tighter than the limit tolerance so that
 # extrapolation noise stays below the convergence test.
 INNER_TOL_FACTOR = 100.0
@@ -206,11 +210,14 @@ def euler_limit(seq: CoefficientSequence, cfg: Optional[EulerLimitConfig] = None
     as soon as the last two extrapolants differ by at most ``tolerance``.
 
     Raises NoEulerSum when the limit demonstrably fails to exist or
-    cannot be extracted: the extrapolants more than double in magnitude
-    three times in a row, |f(t_k)| exceeds 1/tolerance, or the schedule is
-    exhausted without the extrapolant differences contracting.  That
-    exception, and any EulerSumError raised by abel_eval, carries the
-    evaluations made so far as ``evaluations``.
+    cannot be extracted: |f(t_k)| exceeds 1/tolerance; the differences of
+    the last five f(t_k) grow steadily, by ratios all above 1.05 and within
+    5 % of each other, as for f ~ A u^-alpha (the message gives
+    alpha = log(last ratio) / log(1/ratio)); the extrapolants more than
+    double in magnitude three times in a row; or the schedule is exhausted
+    without the extrapolant differences contracting.  That exception, and
+    any EulerSumError raised by abel_eval, carries the evaluations made so
+    far as ``evaluations``.
     """
     if cfg is None:
         cfg = EulerLimitConfig()
@@ -253,6 +260,13 @@ def euler_limit(seq: CoefficientSequence, cfg: Optional[EulerLimitConfig] = None
             deltas.append(d)
             if d <= cfg.tolerance:
                 return EulerLimitResult(value=p, error_estimate=d, converged=True, evaluations=evaluations)
+        f = [e.value for e in evaluations[-5:]]
+        diffs = [b - a for a, b in zip(f, f[1:])]
+        rho = [b / a for a, b in zip(diffs, diffs[1:])] if len(diffs) == 4 and all(diffs) else [0.0]
+        if min(rho) > _GROWTH_MIN and max(rho) <= _GROWTH_SPREAD * min(rho):
+            alpha = math.log(rho[-1]) / math.log(1.0 / cfg.ratio)
+            raise NoEulerSum(f"f(t) grows like u^-{alpha:.3f} in u = 1 - t; no finite t -> 1 limit",
+                             evaluations=evaluations)
         if len(extrapolants) >= 4:
             m0, m1, m2, m3 = (abs(q) for q in extrapolants[-4:])
             if m1 > 2.0 * m0 and m2 > 2.0 * m1 and m3 > 2.0 * m2 and m3 > 10.0 * scale:

@@ -37,3 +37,25 @@ def test_ratios_divide_medians_by_the_baseline():
            "sweep-io": {"summary": bench_record.summarise(runs([1.0] * 5))}}
     old = {"zeta-mix": {"summary": bench_record.summarise(runs([1.0, 2.0, 3.0, 4.0, 5.0]))}}
     assert bench_record.ratios(new, old) == {"zeta-mix": {"ops_per_s": 2.0}, "sweep-io": {}}
+
+
+def test_cli_cases_cover_every_subcommand():
+    from eulersum.harness import _SUBCOMMANDS
+
+    assert {case[0] for case in bench_record.CLI_CASES} == set(_SUBCOMMANDS)
+
+
+def test_cli_section_times_each_command_and_keeps_its_exit_status():
+    cases = (("zeta", "--s", "-1"), ("zeta", "--plain", "--s", "0.5"))
+    cli = bench_record.time_cli(bench_record.REPO, cases, launches=2)
+    assert cli["launches"] == 2
+    assert cli["exit"] == {"zeta --s -1": 0, "zeta --plain --s 0.5": 2}
+    for m in cli["summary"].values():
+        assert m["unit"] == "ms" and m["n"] == 2
+        assert 0.0 < m["q1"] <= m["median"] <= m["q3"]
+
+
+def test_cli_ratios_sit_beside_the_workloads():
+    summary = lambda v: {"summary": bench_record.summarise(runs([v] * 5, "zeta --s -1", "ms"))}
+    new = {"zeta-mix": summary(1.0), "cli": summary(300.0)}
+    assert bench_record.ratios(new, {"cli": summary(400.0)}) == {"zeta-mix": {}, "cli": {"zeta --s -1": 0.75}}

@@ -642,6 +642,35 @@ def test_json_text_is_json_dumps(tmp_path, rows, copies):
     assert path.read_text() == expected
 
 
+@pytest.mark.parametrize("row_type", [ResultRow, SweepRow])
+def test_empty_json_names_its_columns(tmp_path, row_type):
+    path = tmp_path / "rows.json"
+    write_rows(str(path), [], "json", row_type)
+    expected = json.dumps({"columns": list(row_type._fields), "rows": []}, indent=2, sort_keys=True) + "\n"
+    assert path.read_text() == expected
+    assert read_rows(str(path)) == []
+
+
+def header(path):
+    """A result file's column names: the CSV header line, or in JSON the
+    keys of its rows, or its "columns" when it has no row."""
+    if path.suffix == ".csv":
+        return path.read_text().splitlines()[0].split(",")
+    data = json.loads(path.read_text())
+    return sorted(data["rows"][0] if data["rows"] else data["columns"])
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_failed_sweep_writes_the_sweep_header(tmp_path, fmt):
+    ok, failed = tmp_path / f"ok.{fmt}", tmp_path / f"failed.{fmt}"
+    point = ["sweep", "--kernel", "osc-h", "--format", fmt, "--x"]
+    assert main([*point, "1", "--y", "1", "--output", str(ok)]) == 0
+    assert main([*point, "1e200", "--y", "1e200", "--output", str(failed)]) == 2
+    assert read_rows(str(failed)) == []
+    assert header(failed) == header(ok)
+    assert set(header(ok)) == set(SweepRow._fields)
+
+
 def test_missing_optional_columns_read_as_none(tmp_path):
     path = tmp_path / "rows.csv"
     path.write_text("k,t,value,wall_time_ms\n1,0.5,-0.0,2.0\n")
@@ -845,6 +874,14 @@ def test_cli_plain_all_ones_exit_two(tmp_path):
     proc = cli("zeta", "--s", "0", "--plain", "--output", str(out))
     assert proc.returncode == 2
     assert "NoEulerSum" in proc.stdout
+
+
+def test_cli_plain_half_stops_on_steady_growth(tmp_path, capsys):
+    # sum n^-1/2 t^n ~ Gamma(1/2) u^-1/2: five points, not the 20 M-term budget
+    out = tmp_path / "z.csv"
+    assert main(["zeta", "--s", "0.5", "--plain", "--output", str(out)]) == 2
+    assert "verdict=NoEulerSum detail=f(t) grows like u^-0.480 " in capsys.readouterr().out
+    assert len(read_rows(str(out))) == 5
 
 
 def test_cli_strict_deep_negative_s(tmp_path):

@@ -1,6 +1,7 @@
 """Abel evaluation and Euler-limit extraction against brute-force oracles."""
 
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -311,3 +312,68 @@ def test_start_index_zero_takes_b0_as_a0(gamma, power_sum):
     # C is estimated over n >= 1 only: b_0 does not move the truncation
     ones = abel_eval(CoefficientSequence(np.ones_like, growth_hint=gamma), 0.5, 1e-13)
     assert (ev.terms_used, ev.tail_bound) == (ones.terms_used, ones.tail_bound)
+
+
+# --- the steady-growth exit ----------------------------------------------------
+
+
+def growth_exponent(exc) -> float:
+    """The alpha of a steady-growth NoEulerSum, "f(t) grows like u^-alpha"."""
+    match = re.match(r"f\(t\) grows like u\^-([0-9.]+) ", str(exc))
+    assert match, str(exc)
+    return float(match.group(1))
+
+
+def total_terms(evaluations) -> int:
+    return sum(e.terms_used for e in evaluations)
+
+
+def well_kernel(x, y):
+    # (2/pi) sin(nx) sin(ny): the square well's completeness kernel at (x, y)
+    return CoefficientSequence(lambda n: (2.0 / math.pi) * np.sin(n * x) * np.sin(n * y),
+                               growth_hint=0.0, start_index=1)
+
+
+@given(s=st.floats(min_value=-3.0, max_value=0.9))
+@settings(max_examples=40, deadline=None)
+def test_plain_zeta_has_no_sum_within_ten_thousand_terms(s):
+    with pytest.raises(NoEulerSum) as excinfo:
+        euler_limit(plain_sequence(s))
+    assert total_terms(excinfo.value.evaluations) <= 10 ** 4
+
+
+@given(s=st.floats(min_value=-2.8, max_value=2.5).filter(lambda s: abs(s - 1.0) >= 0.05))
+@settings(max_examples=40, deadline=None)
+def test_alternating_zeta_never_takes_the_steady_growth_exit(s):
+    try:
+        euler_limit(alternating_sequence(s), EulerLimitConfig(tolerance=1e-8))
+    except NoEulerSum as exc:
+        assert "grows like" not in str(exc)
+
+
+@pytest.mark.parametrize("p", [-1, 0, 1, 2])
+@pytest.mark.parametrize("x", [0.3, 1.0, 2.0])
+def test_well_action_series_still_converge(p, x):
+    assert euler_limit(well_action_sequence(x, p), EulerLimitConfig(tolerance=1e-8)).converged
+
+
+@pytest.mark.parametrize("x, y", [(1.0, 2.0), (0.3, 0.35), (0.5, 2.5)])
+def test_off_diagonal_well_kernel_still_converges_to_zero(x, y):
+    res = euler_limit(well_kernel(x, y), EulerLimitConfig(tolerance=1e-8))
+    assert res.converged
+    assert abs(res.value) <= 1e-8
+
+
+@pytest.mark.parametrize("s", [0.9, 0.5, 0.25])
+def test_plain_zeta_grows_like_u_to_the_s_minus_one(s):
+    # Hardy, Divergent Series, ch. IV: sum n^-s t^n ~ Gamma(1 - s) (1 - t)^(s - 1)
+    with pytest.raises(NoEulerSum) as excinfo:
+        euler_limit(plain_sequence(s))
+    assert growth_exponent(excinfo.value) == pytest.approx(1.0 - s, abs=0.05)
+
+
+def test_diagonal_well_kernel_grows_like_one_over_u():
+    # (2/pi) sin(n)^2 t^n sums to t / (pi (1 - t)) plus a part bounded at t = 1
+    with pytest.raises(NoEulerSum) as excinfo:
+        euler_limit(well_kernel(1.0, 1.0))
+    assert growth_exponent(excinfo.value) == pytest.approx(1.0, abs=0.05)

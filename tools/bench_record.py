@@ -5,12 +5,14 @@
 
 Runs ``perfbench/run.py`` of the checkout at ``--root`` (default: this
 repository) for every workload at seeds 1-5, then once more per workload
-with ``--trace 1`` at seed 1.  The file holds, per workload, the
-median, q1 and q3 of each end-to-end metric over the seeds, every seed's
-metrics and outcome counts, and the traced run's per-layer metrics; at the
-top level, the checkout's git sha and the host.  With ``--baseline`` it also
-holds the ratio of each median to the baseline file's median (new / old).
-Standard library only.
+with ``--trace 1`` at seed 1, and times fresh ``python -m eulersum``
+launches of the checkout, LAUNCHES of each CLI_CASES command.  The file
+holds, per workload, the median, q1 and q3 of each end-to-end metric over
+the seeds, every seed's metrics and outcome counts, and the traced run's
+per-layer metrics; under "cli", the median, q1 and q3 wall time of each
+command's launches and its exit status; at the top level, the checkout's
+git sha and the host.  With ``--baseline`` it also holds the ratio of each
+median to the baseline file's median (new / old).  Standard library only.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -30,6 +34,12 @@ WORKLOADS = ("zeta-mix", "actions-deep", "sweep-io")
 SEEDS = (1, 2, 3, 4, 5)
 # Each perfbench run's --seconds; it makes at least three passes regardless.
 SECONDS = 8.0
+# CLI commands timed end to end: every subcommand at its defaults (zeta has
+# no default s), the divergent --plain series and a 100 x 100 sweep.
+CLI_CASES = (("zeta", "--s", "-1"), ("zeta", "--plain", "--s", "0.5"), ("well-delta",),
+             ("well-hamiltonian",), ("well-integral",), ("osc-delta",), ("osc-hamiltonian",),
+             ("mehler-check",), ("sweep",), ("sweep", "--kernel", "osc-h", "--nx", "100", "--ny", "100"))
+LAUNCHES = 5
 
 
 def summarise(runs: list) -> dict:
@@ -65,6 +75,28 @@ def run_bench(root: Path, workload: str, seed: int, seconds: float, trace: int) 
                           stdin=subprocess.DEVNULL)
     detail, result = (json.loads(line) for line in proc.stdout.strip().splitlines()[-2:])
     return result["metrics"], detail
+
+
+def time_cli(root: Path, cases=CLI_CASES, launches: int = LAUNCHES) -> dict:
+    """Wall time in ms of fresh ``python -m eulersum`` launches from the
+    checkout's src/, the cases interleaved round by round so that drift of
+    the host spreads over all of them; summarised as summarise() does, with
+    each command's exit status."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    rounds, exits = [], {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for _ in range(launches):
+            times = {}
+            for case in cases:
+                name = " ".join(case)
+                print(f"[bench_record] {root}: eulersum {name}", file=sys.stderr, flush=True)
+                start = time.perf_counter()
+                proc = subprocess.run([sys.executable, "-m", "eulersum", *case, "--output", "out.csv"],
+                                      cwd=tmp, env=env, capture_output=True, stdin=subprocess.DEVNULL)
+                times[name] = {"value": (time.perf_counter() - start) * 1e3, "unit": "ms"}
+                exits[name] = proc.returncode
+            rounds.append(times)
+    return {"launches": launches, "summary": summarise(rounds), "exit": exits}
 
 
 def _git(root: Path, *args) -> str:
@@ -103,9 +135,11 @@ def record(root: Path, label: str, baseline=None) -> dict:
             "traced": {"seed": SEEDS[0], "metrics": {name: m["value"] for name, m in traced.items()},
                        "outcomes": detail["outcomes"]},
         }
+    bench["cli"] = time_cli(root)
     if baseline is not None:
         bench["baseline"] = {"label": baseline["label"], "git_sha": baseline["git_sha"],
-                             "ratio": ratios(bench["workloads"], baseline["workloads"])}
+                             "ratio": ratios({**bench["workloads"], "cli": bench["cli"]},
+                                             {**baseline["workloads"], "cli": baseline.get("cli", {})})}
     return bench
 
 
