@@ -54,8 +54,3 @@ def test_cli_section_times_each_command_and_keeps_its_exit_status():
         assert m["unit"] == "ms" and m["n"] == 2
         assert 0.0 < m["q1"] <= m["median"] <= m["q3"]
 
-
-def test_cli_ratios_sit_beside_the_workloads():
-    summary = lambda v: {"summary": bench_record.summarise(runs([v] * 5, "zeta --s -1", "ms"))}
-    new = {"zeta-mix": summary(1.0), "cli": summary(300.0)}
-    assert bench_record.ratios(new, {"cli": summary(400.0)}) == {"zeta-mix": {}, "cli": {"zeta --s -1": 0.75}}
