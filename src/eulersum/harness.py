@@ -40,14 +40,34 @@ _MAX_SWEEP_ROWS = 10 ** 6
 # Grid points per axis of a sweep without --nx/--ny.
 _GRID_SIDE = 50
 
+_SWEEP_KERNELS = {
+    "well": sw._k,
+    "well-h": sw._h,
+    "osc": osc._mehler,
+    "osc-h": osc._osc_h_y_route,
+}
 
-# The type of every input, by flag name, whether it comes from a flag, a
-# config file or a library RunConfig(...).  Booleans are not numbers, an int
-# must be integral (a numeral string is read as --k-max reads it), and a
-# float must be finite.
-_TYPES = {"t-ratio": float, "k-max": int, "tol": float, "output": str, "format": str,
-          "s": float, "plain": bool, "x": float, "y": float, "a": float, "b": float,
-          "kernel": str, "nx": int, "ny": int}
+# The type and help line of every input, by flag name.  The type applies
+# whether the value comes from a flag, a config file or a library
+# RunConfig(...): booleans are not numbers, an int must be integral (a
+# numeral string is read as --k-max reads it), and a float must be finite.
+_FLAGS = {
+    "t-ratio": (float, "schedule ratio r in t_k = 1 - r^k"),
+    "k-max": (int, "deepest schedule index k"),
+    "tol": (float, "convergence tolerance"),
+    "output": (str, "result file path"),
+    "format": (str, "result file format: csv or json"),
+    "config": (str, "JSON file with flag defaults (flags win)"),
+    "s": (float, "evaluation point"),
+    "plain": (bool, "Euler-sum the raw series sum(n^-s) instead (fails for s <= 1)"),
+    "x": (float, "evaluation point x"),
+    "y": (float, "with --x, one sweep point instead of a grid"),
+    "a": (float, "interval start"),
+    "b": (float, "interval end"),
+    "kernel": (str, f"sweep kernel: {', '.join(_SWEEP_KERNELS)}"),
+    "nx": (int, f"grid points in x (default {_GRID_SIDE})"),
+    "ny": (int, f"grid points in y (default {_GRID_SIDE})"),
+}
 
 # RunConfig's fields by the flag that sets them.
 _FIELDS = {"t-ratio": "t_ratio", "k-max": "k_max", "tol": "tolerance",
@@ -55,8 +75,8 @@ _FIELDS = {"t-ratio": "t_ratio", "k-max": "k_max", "tol": "tolerance",
 
 
 def _typed(key: str, value):
-    """``value`` as the type _TYPES gives ``key``, or InvalidConfig."""
-    kind = _TYPES[key]
+    """``value`` as the type _FLAGS gives ``key``, or InvalidConfig."""
+    kind = _FLAGS[key][0]
     try:
         if isinstance(value, bool) != (kind is bool) or (kind is str and not isinstance(value, str)):
             raise TypeError
@@ -74,9 +94,11 @@ def _typed(key: str, value):
 class RunConfig:
     """A fully resolved experiment invocation.
 
-    Construction types every value once (``_TYPES``) and fills an unset
+    Construction types every value once (``_FLAGS``) and fills an unset
     ``k_max``, ``output_path`` and parameter from the subcommand's defaults,
-    so ``params`` holds exactly the subcommand's parameters, typed.
+    so ``params`` holds exactly the subcommand's parameters, typed.  It is
+    the one place that refuses a schedule: k-max must lie in [1, 60] ([0,
+    60] for sweep), and no t_k the run needs may round to 1.0.
     """
 
     subcommand: str
@@ -103,12 +125,15 @@ class RunConfig:
         object.__setattr__(self, "params", {**defaults, **{k: _typed(k, v) for k, v in self.params.items()}})
         if not 0.0 < self.t_ratio < 1.0:
             raise InvalidConfig("t-ratio must lie in (0, 1)")
-        if not 0 <= self.k_max <= 60:
-            raise InvalidConfig("k-max must lie in [0, 60]")
-        # zeta's k-max is a ceiling: euler_limit stops where the schedule saturates.
-        if self.subcommand != "zeta" and 1.0 - self.t_ratio ** self.k_max == 1.0:
-            raise InvalidConfig(f"t-ratio {self.t_ratio!r} at k-max {self.k_max} "
-                                "puts the last t_k at 1.0 in double precision")
+        k_min = 0 if self.subcommand == "sweep" else 1
+        if not k_min <= self.k_max <= 60:
+            raise InvalidConfig(f"k-max must lie in [{k_min}, 60]")
+        # zeta's k-max is a ceiling: euler_limit stops where the schedule
+        # saturates, so only its first point past t_0 = 0 must lie below 1.
+        k_last = 1 if self.subcommand == "zeta" else self.k_max
+        if 1.0 - self.t_ratio ** k_last == 1.0:
+            raise InvalidConfig(f"t-ratio {self.t_ratio!r} puts t_{k_last} = 1 - r^{k_last} "
+                                "at 1.0 in double precision")
         if self.tolerance <= 0.0:
             raise InvalidConfig("tolerance must be finite and positive")
         if self.output_format not in ("csv", "json"):
@@ -214,8 +239,6 @@ def _walk(config: RunConfig, value_at, reference: float) -> list:
     """One row per schedule point t_k = 1 - r^k, k = 1 .. k_max: the timed
     value_at(t_k) and its error against ``reference``.  An EulerSumError
     leaves with the rows made before it as ``rows``."""
-    if config.k_max < 1:
-        raise InvalidConfig(f"{config.subcommand} needs k-max >= 1")
     rows = []
     for k in range(1, config.k_max + 1):
         t_k = 1.0 - config.t_ratio ** k
@@ -236,12 +259,10 @@ def _final_within_tol(config: RunConfig, rows: list):
     return rows, final.value, final.abs_error, verdict
 
 
-def _monotone_tail(rows: list, window: int = 4) -> bool:
-    errs = [r.abs_error for r in rows if r.abs_error is not None]
-    if len(errs) < 2:
-        return False
-    tail = errs[-min(window + 1, len(errs)):]
-    return all(tail[i + 1] < tail[i] for i in range(len(tail) - 1))
+def _monotone_tail(rows: list) -> bool:
+    """The errors fall strictly over the last four steps (all, if fewer)."""
+    tail = [r.abs_error for r in rows if r.abs_error is not None][-5:]
+    return len(tail) >= 2 and all(b < a for a, b in zip(tail, tail[1:]))
 
 
 def _run_zeta(config: RunConfig):
@@ -251,7 +272,7 @@ def _run_zeta(config: RunConfig):
     if s == 1.0:
         raise InvalidConfig("zeta has a pole at s = 1")
     seq = plain_sequence(s) if config.params["plain"] else alternating_sequence(s)
-    cfg = EulerLimitConfig(ratio=config.t_ratio, k_max=max(config.k_max, 1), tolerance=config.tolerance)
+    cfg = EulerLimitConfig(ratio=config.t_ratio, k_max=config.k_max, tolerance=config.tolerance)
     ref = reference_value(s)
 
     def rows_from(evaluations):
@@ -322,14 +343,6 @@ def _run_mehler_check(config: RunConfig):
         return float(np.max(np.abs(_mehler_series_grid(t, config.tolerance) - closed)))
 
     return _final_within_tol(config, _walk(config, max_gap, 0.0))
-
-
-_SWEEP_KERNELS = {
-    "well": sw._k,
-    "well-h": sw._h,
-    "osc": osc._mehler,
-    "osc-h": osc._osc_h_y_route,
-}
 
 
 @np.errstate(all="ignore")  # a non-finite kernel value is reported as a DomainError
@@ -435,17 +448,6 @@ class _Parser(argparse.ArgumentParser):
         raise InvalidConfig(message)
 
 
-_HELP = {
-    "t-ratio": "schedule ratio r in t_k = 1 - r^k", "k-max": "deepest schedule index k",
-    "tol": "convergence tolerance", "output": "result file path", "format": "result file format: csv or json",
-    "config": "JSON file with flag defaults (flags win)", "s": "evaluation point",
-    "plain": "Euler-sum the raw series sum(n^-s) instead (fails for s <= 1)", "x": "evaluation point x",
-    "y": "with --x, one sweep point instead of a grid", "a": "interval start", "b": "interval end",
-    "kernel": f"sweep kernel: {', '.join(_SWEEP_KERNELS)}", "nx": f"grid points in x (default {_GRID_SIDE})",
-    "ny": f"grid points in y (default {_GRID_SIDE})",
-}
-
-
 @lru_cache(maxsize=None)  # built once: parse_args keeps no state on the parser
 def build_parser() -> argparse.ArgumentParser:
     """One subparser per _SUBCOMMANDS entry, taking its parameters, the
@@ -456,8 +458,9 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (_, _, defaults, help_line) in _SUBCOMMANDS.items():
         sub = subs.add_parser(name, help=help_line)
         for key in (*defaults, *_FIELDS, "config"):
-            action = "store_true" if _TYPES.get(key) is bool else "store"
-            sub.add_argument(f"--{key}", action=action, default=None, help=_HELP[key])
+            kind, flag_help = _FLAGS[key]
+            action = "store_true" if kind is bool else "store"
+            sub.add_argument(f"--{key}", action=action, default=None, help=flag_help)
     return parser
 
 
@@ -488,7 +491,3 @@ def main(argv=None) -> int:
     except InvalidConfig as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 import numpy as np
 
 from .errors import DomainError, InvalidConfig, NOverflow, TruncationInsufficient, check_t
-from .quadrature import QuadratureSpec, eval_test_function, integrate
+from .quadrature import eval_test_function, integrate
 from .resummation import _certified_tail
 
 ArrayLike = Union[float, np.ndarray]
@@ -152,13 +152,7 @@ def osc_h_kernel(p: MehlerPoint, route: str = "y_operator") -> float:
     raise InvalidConfig(f"unknown route {route!r}")
 
 
-def osc_action(
-    x: float,
-    t: float,
-    g: Callable,
-    quad: Optional[QuadratureSpec] = None,
-    operator: str = "identity",
-) -> float:
+def osc_action(x: float, t: float, g: Callable, operator: str = "identity") -> float:
     """Integrate K(x, ., t) g or H(x, ., t) g over the real line.
 
     As t -> 1 the identity action tends to g(x) and the hamiltonian
@@ -193,14 +187,7 @@ def osc_action(
     # rejected before any quadrature effort is spent on them.
     probe = np.array([x - peak_width, x, x + peak_width, 0.0])
     check_edges(float(np.max(np.abs(integrand(probe)))))
-    res = integrate(
-        integrand,
-        -half_width,
-        half_width,
-        quad,
-        peak=x,
-        peak_min_width=peak_width / 4.0,
-    )
+    res = integrate(integrand, -half_width, half_width, peak=x, peak_min_width=peak_width / 4.0)
     check_edges(res.max_abs_integrand)
     return res.value
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .errors import (
     TestFunctionBoundary,
     check_t,
 )
-from .quadrature import QuadratureSpec, eval_test_function, integrate
+from .quadrature import eval_test_function, integrate
 from .resummation import CoefficientSequence
 
 PI = math.pi
@@ -188,13 +188,7 @@ def k_interval_integral(q: IntervalIntegralQuery) -> float:
     return total / PI
 
 
-def well_action(
-    x: float,
-    t: float,
-    g: Callable,
-    quad: Optional[QuadratureSpec] = None,
-    operator: str = "identity",
-) -> float:
+def well_action(x: float, t: float, g: Callable, operator: str = "identity") -> float:
     """Integrate K(x, ., t) g (identity) or H(x, ., t) g (hamiltonian)
     over [0, pi].
 
@@ -217,10 +211,7 @@ def well_action(
     def integrand(y: np.ndarray) -> np.ndarray:
         return kern(x, y, t) * eval_test_function(g, y)
 
-    res = integrate(
-        integrand, 0.0, PI, quad, peak=x, peak_min_width=(1.0 - t) / 4.0
-    )
-    return res.value
+    return integrate(integrand, 0.0, PI, peak=x, peak_min_width=(1.0 - t) / 4.0).value
 
 
 def well_action_sequence(x: float, p: int) -> CoefficientSequence:

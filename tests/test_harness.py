@@ -414,6 +414,7 @@ def test_walk_failure_keeps_the_rows_made(tmp_path, monkeypatch, argv, module, n
         ["osc-hamiltonian", "--t-ratio", "0.01"],
         ["well-integral", "--k-max", "60"],
         ["mehler-check", "--k-max", "60"],
+        ["zeta", "--s", "-1", "--t-ratio", "1e-300"],  # zeta needs t_1 below 1
     ],
 )
 def test_schedule_reaching_t_one_is_a_usage_error(tmp_path, monkeypatch, argv, capsys):
@@ -433,6 +434,9 @@ def test_schedule_limit_is_where_t_rounds_to_one(tmp_path, capsys):
     assert RunConfig(subcommand="well-delta", k_max=53).k_max == 53
     with pytest.raises(InvalidConfig):
         RunConfig(subcommand="well-delta", k_max=54)
+    assert RunConfig(subcommand="zeta", t_ratio=2.0 ** -53).t_ratio == 2.0 ** -53
+    with pytest.raises(InvalidConfig):
+        RunConfig(subcommand="zeta", t_ratio=2.0 ** -54)
     # zeta's k-max is a ceiling: euler_limit stops before t rounds to 1
     out = tmp_path / "z.csv"
     assert main(["zeta", "--s", "-1", "--k-max", "60", "--output", str(out)]) == 0
@@ -455,10 +459,11 @@ _WALKING_SUBCOMMANDS = ("well-delta", "well-hamiltonian", "osc-delta", "osc-hami
                         "well-integral", "mehler-check")
 
 
-@pytest.mark.parametrize("subcommand", _WALKING_SUBCOMMANDS)
+@pytest.mark.parametrize("subcommand", (*_WALKING_SUBCOMMANDS, "zeta"))
 def test_k_max_zero_is_a_usage_error(tmp_path, subcommand, capsys):
     out = tmp_path / "r.csv"
-    assert main([subcommand, "--k-max", "0", "--output", str(out)]) == 1
+    required = ["--s", "-1"] if subcommand == "zeta" else []
+    assert main([subcommand, *required, "--k-max", "0", "--output", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
 

@@ -180,6 +180,46 @@ def test_no_euler_sum_carries_partial_trace():
     assert excinfo.value.trace == [(e.t, e.value) for e in evs]
 
 
+def test_schedule_exhausted_while_contracting_is_unconverged():
+    # at ratio 0.999999 forty steps move t by 4e-5: the extrapolants still close in, far from tol
+    res = euler_limit(alternating_sequence(-1.0), EulerLimitConfig(ratio=0.999999, k_max=40))
+    assert not res.converged
+    assert len(res.evaluations) == 41
+
+
+def test_value_beyond_one_over_tolerance_has_no_sum():
+    # sum n^3 t^n = t (1 + 4t + t^2) / (1 - t)^4 is 876 at t = 0.75
+    with pytest.raises(NoEulerSum, match=r"exceeds 1/tolerance at t=0\.75;") as excinfo:
+        euler_limit(plain_sequence(-3.0), EulerLimitConfig(tolerance=1e-2))
+    assert [e.t for e in excinfo.value.evaluations] == [0.0, 0.5, 0.75]
+
+
+def test_term_budget_ends_the_schedule_unconverged():
+    # each step at ratio 0.1 needs about ten times the terms of the last
+    res = euler_limit(alternating_sequence(-2.0), EulerLimitConfig(ratio=0.1, tolerance=1e-13))
+    assert not res.converged
+    terms = [e.terms_used for e in res.evaluations]
+    assert len(terms) == 6
+    assert terms[-2] / 0.1 <= DEFAULT_TERM_BUDGET < terms[-1] / 0.1
+
+
+def test_saturated_schedule_never_evaluates_t_one(monkeypatch):
+    import eulersum.resummation as rs
+
+    ts = []
+
+    def recording(seq, t, tol):
+        ts.append(t)
+        return original(seq, t, tol)
+
+    original = rs.abel_eval
+    monkeypatch.setattr(rs, "abel_eval", recording)
+    # t_1 = 1 - 1e-300 rounds to 1.0: only t_0 = 0 is left to evaluate
+    with pytest.raises(NoEulerSum, match=r"last delta n/a"):
+        euler_limit(alternating_sequence(-1.0), EulerLimitConfig(ratio=1e-300))
+    assert ts == [0.0]
+
+
 def test_abel_eval_failure_carries_the_evaluations_made(monkeypatch):
     import eulersum.resummation as rs
 
