@@ -321,26 +321,25 @@ def _run_action(config: RunConfig):
 _MEHLER_GRID = [float(v) for v in range(-2, 3)]
 
 
-def _mehler_series_grid(t: float, tol: float) -> np.ndarray:
-    """sum(t^n phi_n(x) phi_n(y)) on the check grid, truncated so the
-    uniform tail bound sup|phi| ^2 t^(N+1)/(1-t) is below tol/10."""
+def _mehler_terms(t: float, tol: float) -> int:
+    """The last index N of the Mehler series at 0 < t < 1: N >= 300 with the
+    uniform tail bound sup|phi|^2 t^(N+1)/(1-t) below tol/10, but N <= 60000."""
     sup2 = 0.6667  # above sup_x |phi_n(x)|^2 <= pi^(-1/2) ~ 0.564 for all n (Indritz)
-    n_max = 300
-    if t > 0.0:
-        need = math.log(tol * (1.0 - t) / (10.0 * sup2)) / math.log(t)
-        n_max = max(n_max, int(need) + 1)
-    n_max = min(n_max, 60000)
-    table = osc._hermite_function_table(n_max, _MEHLER_GRID)
-    tn = t ** np.arange(n_max + 1, dtype=np.float64)
-    return np.einsum("n,ni,nj->ij", tn, table, table)
+    need = math.log(tol * (1.0 - t) / (10.0 * sup2)) / math.log(t)
+    return min(max(300, int(need) + 1), 60000)
 
 
 def _run_mehler_check(config: RunConfig):
+    """Per t_k, max |series - closed form| on the check grid; each t_k sums a
+    prefix of one Hermite table, built for the deepest t_k."""
     xs = np.asarray(_MEHLER_GRID)
+    ts = (1.0 - config.t_ratio ** k for k in range(1, config.k_max + 1))
+    table = osc._hermite_function_table(max(_mehler_terms(t, config.tolerance) for t in ts), xs)
 
     def max_gap(t: float) -> float:
-        closed = osc._mehler(xs[:, None], xs[None, :], t)
-        return float(np.max(np.abs(_mehler_series_grid(t, config.tolerance) - closed)))
+        rows = table[:_mehler_terms(t, config.tolerance) + 1]
+        series = np.einsum("n,ni,nj->ij", t ** np.arange(len(rows), dtype=np.float64), rows, rows)
+        return float(np.max(np.abs(series - osc._mehler(xs[:, None], xs[None, :], t))))
 
     return _final_within_tol(config, _walk(config, max_gap, 0.0))
 

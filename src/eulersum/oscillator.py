@@ -101,8 +101,7 @@ def mehler_series(p: MehlerPoint, n_max: int) -> float:
     oracle for mehler_kernel."""
     if n_max < 0:
         raise DomainError("n_max must be >= 0")
-    px = _hermite_function_table(n_max, p.x)
-    py = _hermite_function_table(n_max, p.y)
+    px, py = _hermite_function_table(n_max, (p.x, p.y)).T
     tn = p.t ** np.arange(n_max + 1, dtype=np.float64)
     return math.fsum(tn * px * py)
 

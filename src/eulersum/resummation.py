@@ -214,10 +214,11 @@ def euler_limit(seq: CoefficientSequence, cfg: Optional[EulerLimitConfig] = None
     the last five f(t_k) grow steadily, by ratios all above 1.05 and within
     5 % of each other, as for f ~ A u^-alpha (the message gives
     alpha = log(last ratio) / log(1/ratio)); the extrapolants more than
-    double in magnitude three times in a row; or the schedule is exhausted
-    without the extrapolant differences contracting.  That exception, and
-    any EulerSumError raised by abel_eval, carries the evaluations made so
-    far as ``evaluations``.
+    double in magnitude three times in a row; or the schedule ends after at
+    least four extrapolant differences that no longer contract.  With fewer
+    the result is unconverged (error estimate inf if there are none).  That
+    exception, and any EulerSumError raised by abel_eval, carries the
+    evaluations made so far as ``evaluations``.
     """
     if cfg is None:
         cfg = EulerLimitConfig()
@@ -276,14 +277,12 @@ def euler_limit(seq: CoefficientSequence, cfg: Optional[EulerLimitConfig] = None
                     evaluations=evaluations,
                 )
 
-    if len(deltas) >= 4 and deltas[-1] < 0.8 * deltas[-4]:
-        # Still contracting, just not converged within the schedule.
-        return EulerLimitResult(
-            value=extrapolants[-1], error_estimate=deltas[-1], converged=False, evaluations=evaluations
-        )
-    last = f"{deltas[-1]:.3e}" if deltas else "n/a"
+    if len(deltas) < 4 or deltas[-1] < 0.8 * deltas[-4]:
+        # Too few deltas to judge, or still contracting: unconverged.
+        return EulerLimitResult(value=extrapolants[-1], error_estimate=deltas[-1] if deltas else math.inf,
+                                converged=False, evaluations=evaluations)
     raise NoEulerSum(
-        f"extrapolants failed to contract over the schedule (last delta {last}); "
+        f"extrapolants failed to contract over the schedule (last delta {deltas[-1]:.3e}); "
         "the series is outside plain Euler summability at this precision",
         evaluations=evaluations,
     )

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import mpmath
 
 import eulersum.harness
+import eulersum.oscillator
 import eulersum.resummation
 import eulersum.square_well
 from eulersum.errors import InvalidConfig, TailNotBounded
@@ -30,7 +31,7 @@ from eulersum.harness import (
     sweep,
     write_rows,
 )
-from eulersum.oscillator import MehlerPoint, mehler_kernel, osc_action, osc_h_kernel
+from eulersum.oscillator import MehlerPoint, mehler_kernel, mehler_series, osc_action, osc_h_kernel
 from eulersum.square_well import WellKernelPoint, d_kernel, h_kernel, k_kernel, well_action
 
 REPO = Path(__file__).resolve().parent.parent
@@ -122,6 +123,22 @@ def test_run_mehler_check(tmp_path):
     assert all(r.value <= 1e-8 for r in rows)
 
 
+def test_mehler_check_builds_one_hermite_table_per_run(tmp_path, monkeypatch):
+    tables = []
+    original = eulersum.oscillator._hermite_function_table
+
+    def counted(n_max, x):
+        tables.append(n_max)
+        return original(n_max, x)
+
+    monkeypatch.setattr(eulersum.oscillator, "_hermite_function_table", counted)
+    assert run(RunConfig(subcommand="mehler-check", output_path=str(tmp_path / "mc.csv"))) == 0
+    assert len(tables) == 1
+    # and one per series, for x and y together
+    mehler_series(MehlerPoint(x=0.5, y=-1.0, t=0.5), 40)
+    assert tables[1:] == [40]
+
+
 def test_run_requires_s(tmp_path):
     with pytest.raises(InvalidConfig):
         run(RunConfig(subcommand="zeta", output_path=str(tmp_path / "z.csv")))
@@ -161,7 +178,13 @@ def counting_abel_eval(monkeypatch):
 
 @pytest.mark.parametrize(
     "argv, status",
-    [(["zeta", "--s", "-1"], 0), (["zeta", "--plain", "--s", "0"], 2)],
+    [
+        (["zeta", "--s", "-1"], 0),
+        (["zeta", "--plain", "--s", "0"], 2),
+        (["zeta", "--s", "-1", "--k-max", "1"], 2),
+        (["zeta", "--s", "-1", "--k-max", "2"], 2),
+        (["zeta", "--s", "-1", "--k-max", "3"], 2),
+    ],
 )
 def test_zeta_rows_are_the_evaluations(tmp_path, monkeypatch, argv, status, capsys):
     made = counting_abel_eval(monkeypatch)
@@ -172,6 +195,10 @@ def test_zeta_rows_are_the_evaluations(tmp_path, monkeypatch, argv, status, caps
     assert len(made) == len(rows) >= 2
     for row, ev in zip(rows, made):
         assert (row.t, row.value, row.wall_time_ms) == (ev.t, ev.value, ev.wall_ms)
+    if "--k-max" in argv:
+        # fewer than four extrapolant deltas: the schedule ran out, not the series
+        assert "verdict=unconverged" in capsys.readouterr().out
+        assert len(rows) == int(argv[-1]) + 1
 
 
 @pytest.mark.parametrize(
@@ -225,11 +252,15 @@ def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
         (["osc-delta"], {"t-ratio": "x"}),
         (["sweep"], {"nx": "x"}),
         (["sweep"], {"ny": None, "nx": [3]}),
+        (["zeta", "--s", "0"], None),  # no file at all
+        (["zeta", "--s", "0"], "not json"),  # a str is the file's text
+        (["zeta", "--s", "0"], [1, 2]),
     ],
 )
 def test_config_file_type_errors_are_usage_errors(tmp_path, argv, values, capsys):
     cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps(values))
+    if values is not None:
+        cfg.write_text(values if isinstance(values, str) else json.dumps(values))
     out = tmp_path / "r.csv"
     assert main([*argv, "--config", str(cfg), "--output", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
@@ -262,6 +293,8 @@ def count_numerics(m):
         (["sweep", "--x", "1", "--y", "2"], {"ny": 7}),
         (["sweep", "--kernel", "foo"], {}),
         (["sweep", "--format", "xml"], {}),
+        (["sweep", "--nx", "0"], {}),
+        (["sweep", "--ny", "0"], {}),
     ],
 )
 def test_mistyped_or_incomplete_input_is_a_usage_error(tmp_path, monkeypatch, argv, values, capsys):

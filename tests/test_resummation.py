@@ -214,10 +214,12 @@ def test_saturated_schedule_never_evaluates_t_one(monkeypatch):
 
     original = rs.abel_eval
     monkeypatch.setattr(rs, "abel_eval", recording)
-    # t_1 = 1 - 1e-300 rounds to 1.0: only t_0 = 0 is left to evaluate
-    with pytest.raises(NoEulerSum, match=r"last delta n/a"):
-        euler_limit(alternating_sequence(-1.0), EulerLimitConfig(ratio=1e-300))
+    # t_1 = 1 - 1e-300 rounds to 1.0: only t_0 = 0 is left to evaluate, and
+    # one point gives no extrapolant difference to judge
+    res = euler_limit(alternating_sequence(-1.0), EulerLimitConfig(ratio=1e-300))
     assert ts == [0.0]
+    assert not res.converged and res.error_estimate == math.inf
+    assert [e.t for e in res.evaluations] == [0.0]
 
 
 def test_abel_eval_failure_carries_the_evaluations_made(monkeypatch):
@@ -253,6 +255,18 @@ def test_abel_eval_gives_up_once_the_budget_cannot_close_the_bound():
     assert str(excinfo.value) == (f"tail not certified below tol={tol!r} within {DEFAULT_TERM_BUDGET} terms "
                                   f"at t={t!r}")
     assert len(blocks) == 1
+
+
+def test_abel_eval_reports_coefficients_that_overflow():
+    # Python's 2.0 ** 1024 raises OverflowError in the block that starts at n = 896
+    seq = CoefficientSequence(lambda n: np.array([2.0 ** int(m) for m in n]), growth_hint=0.0)
+    with pytest.raises(TailNotBounded, match=r"^coefficients overflow double precision near n=896;"):
+        abel_eval(seq, 0.99, 1e-10)
+
+
+def test_abel_eval_of_an_all_zero_series_stops_after_one_block():
+    ev = abel_eval(CoefficientSequence(np.zeros_like, growth_hint=2.0), 0.99, 1e-10)
+    assert (ev.value, ev.terms_used, ev.tail_bound) == (0.0, 128, 0.0)
 
 
 def test_result_trace_views_its_evaluations():
