@@ -30,8 +30,10 @@ import numpy as np
 
 from . import oscillator as osc
 from . import square_well as sw
-from .errors import DomainError, EulerSumError, InvalidConfig
-from .resummation import INNER_TOL_FACTOR, EulerLimitConfig, abel_eval, euler_limit
+from .errors import DomainError, EulerSumError, InvalidConfig, TailNotBounded
+from .resummation import INNER_TOL_FACTOR, EulerLimitConfig, euler_limit
+# Unused here, but perfbench/spans.py wraps harness.abel_eval by name.
+from .resummation import abel_eval
 from .zeta import alternating_sequence, plain_sequence, reference_value
 
 # A sweep writes nx * ny * (k_max + 1) rows; the largest grid is refused
@@ -235,13 +237,22 @@ def _row(k: int, t: float, value: float, reference: Optional[float], wall_ms: fl
     return ResultRow(k=k, t=t, value=value, reference=reference, abs_error=err, wall_time_ms=wall_ms)
 
 
+def _schedule(config: RunConfig) -> list:
+    """The schedule points t_k = 1 - r^k, k = 1 .. k_max."""
+    return [1.0 - config.t_ratio ** k for k in range(1, config.k_max + 1)]
+
+
+def _evaluation_rows(evaluations: list, reference: Optional[float], k0: int) -> list:
+    """One row per AbelEvaluation, numbered from k0, timed by its wall_ms."""
+    return [_row(k, e.t, e.value, reference, e.wall_ms) for k, e in enumerate(evaluations, k0)]
+
+
 def _walk(config: RunConfig, value_at, reference: float) -> list:
     """One row per schedule point t_k = 1 - r^k, k = 1 .. k_max: the timed
     value_at(t_k) and its error against ``reference``.  An EulerSumError
     leaves with the rows made before it as ``rows``."""
     rows = []
-    for k in range(1, config.k_max + 1):
-        t_k = 1.0 - config.t_ratio ** k
+    for k, t_k in enumerate(_schedule(config), 1):
         start = time.perf_counter()
         try:
             value = value_at(t_k)
@@ -274,17 +285,13 @@ def _run_zeta(config: RunConfig):
     seq = plain_sequence(s) if config.params["plain"] else alternating_sequence(s)
     cfg = EulerLimitConfig(ratio=config.t_ratio, k_max=config.k_max, tolerance=config.tolerance)
     ref = reference_value(s)
-
-    def rows_from(evaluations):
-        return [_row(k, e.t, e.value, ref, e.wall_ms) for k, e in enumerate(evaluations)]
-
     try:
         res = euler_limit(seq, cfg)
     except EulerSumError as exc:
-        exc.rows = rows_from(exc.evaluations)
+        exc.rows = _evaluation_rows(exc.evaluations, ref, 0)
         raise
     verdict = "converged" if res.converged else "unconverged"
-    return rows_from(res.evaluations), res.value, res.error_estimate, verdict
+    return _evaluation_rows(res.evaluations, ref, 0), res.value, res.error_estimate, verdict
 
 
 def _run_well_integral(config: RunConfig):
@@ -297,47 +304,60 @@ def _run_well_integral(config: RunConfig):
 
 def _run_action(config: RunConfig):
     """Sum the eigen-series f(t) = sum a_n t^n of the action on the fixed
-    test function: y(pi - y) on the well, exp(-y^2) on the oscillator."""
+    test function at every t_k.  On the well, g = y(pi - y): the rows are
+    square_well.well_action_evaluations, one pass over odd n whose prefix
+    per t_k has a certified tail within tol/INNER_TOL_FACTOR.  On the
+    oscillator, g = exp(-y^2): one dot product per t_k with coefficients
+    truncated once for every t."""
     p = 0 if config.subcommand.endswith("delta") else 1
     tol = config.tolerance / INNER_TOL_FACTOR
     x = config.params["x"]
     if config.subcommand.startswith("well"):
         if not 0.0 < x < sw.PI:
             raise InvalidConfig(f"{config.subcommand} needs 0 < x < pi, got x={x}")
-        seq = sw.well_action_sequence(x, p)
-        value_at = lambda t: abel_eval(seq, t, tol).value
         reference = 1.0 if p else x * (sw.PI - x)
+        try:
+            rows = _evaluation_rows(sw.well_action_evaluations(x, p, _schedule(config), tol), reference, 1)
+        except EulerSumError as exc:
+            exc.rows = _evaluation_rows(exc.evaluations, reference, 1)
+            raise
     else:
         coeffs = osc.osc_action_coefficients(x, p, tol)
         powers = np.arange(coeffs.size)
-        value_at = lambda t: float(np.dot(coeffs, t ** powers))
         reference = (1.0 - 1.5 * x * x if p else 1.0) * math.exp(-x * x)
-
-    rows = _walk(config, value_at, reference)
+        rows = _walk(config, lambda t: float(np.dot(coeffs, t ** powers)), reference)
     verdict = "approaching" if _monotone_tail(rows) else "not-approaching"
     return rows, rows[-1].value, rows[-1].abs_error, verdict
 
 
 _MEHLER_GRID = [float(v) for v in range(-2, 3)]
+# The Mehler series is summed to at most this index.
+_MEHLER_MAX_TERMS = 60000
 
 
 def _mehler_terms(t: float, tol: float) -> int:
     """The last index N of the Mehler series at 0 < t < 1: N >= 300 with the
-    uniform tail bound sup|phi|^2 t^(N+1)/(1-t) below tol/10, but N <= 60000."""
+    uniform tail bound sup|phi|^2 t^(N+1)/(1-t) below tol/10."""
     sup2 = 0.6667  # above sup_x |phi_n(x)|^2 <= pi^(-1/2) ~ 0.564 for all n (Indritz)
     need = math.log(tol * (1.0 - t) / (10.0 * sup2)) / math.log(t)
-    return min(max(300, int(need) + 1), 60000)
+    return max(300, int(need) + 1)
 
 
 def _run_mehler_check(config: RunConfig):
     """Per t_k, max |series - closed form| on the check grid; each t_k sums a
-    prefix of one Hermite table, built for the deepest t_k."""
+    prefix of one Hermite table, built for the deepest t_k whose tail can be
+    bounded within _MEHLER_MAX_TERMS.  A t_k past it raises TailNotBounded,
+    and the rows before it stay."""
     xs = np.asarray(_MEHLER_GRID)
-    ts = (1.0 - config.t_ratio ** k for k in range(1, config.k_max + 1))
-    table = osc._hermite_function_table(max(_mehler_terms(t, config.tolerance) for t in ts), xs)
+    sizes = [_mehler_terms(t, config.tolerance) for t in _schedule(config)]
+    table = osc._hermite_function_table(max((n for n in sizes if n <= _MEHLER_MAX_TERMS), default=0), xs)
 
     def max_gap(t: float) -> float:
-        rows = table[:_mehler_terms(t, config.tolerance) + 1]
+        n = _mehler_terms(t, config.tolerance)
+        if n > _MEHLER_MAX_TERMS:
+            raise TailNotBounded(f"Mehler tail not bounded below tol/10={config.tolerance / 10.0!r} "
+                                 f"within {_MEHLER_MAX_TERMS} terms at t={t!r}")
+        rows = table[:n + 1]
         series = np.einsum("n,ni,nj->ij", t ** np.arange(len(rows), dtype=np.float64), rows, rows)
         return float(np.max(np.abs(series - osc._mehler(xs[:, None], xs[None, :], t))))
 

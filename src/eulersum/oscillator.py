@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidConfig, NOverflow, TruncationInsufficient, check_t
 from .quadrature import eval_test_function, integrate
-from .resummation import _certified_tail
+from .resummation import _certified_terms
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -209,7 +209,5 @@ def osc_action_coefficients(x: float, p: int, tol: float) -> np.ndarray:
     by |phi_n| <= pi^(-1/4) (Cramer's inequality in Indritz's sharp form),
     |g_n| <= g_0 3^(-n/2) and n + 1/2 <= 3n/2."""
     c = math.pi ** -0.5 * math.sqrt(2.0 * math.pi / 3.0) * 1.5 ** p
-    n_max = 1
-    while _certified_tail(c, p, n_max + 1, 3.0 ** -0.5) > tol:
-        n_max += 1
+    n_max = max(1, _certified_terms(c, p, 3.0 ** -0.5, tol))
     return (np.arange(n_max + 1) + 0.5) ** p * _hermite_function_table(n_max, x) * _gaussian_overlaps(n_max)

@@ -130,6 +130,58 @@ def _certified_tail(c_hat: float, gamma: float, n_next: int, t: float) -> float:
     return lead / (1.0 - rho)
 
 
+def _certified_terms(c: float, gamma: float, t: float, tol: float) -> int:
+    """The least N >= 0 with _certified_tail(c, gamma, N + 1, t) <= tol, so
+    that summing n <= N leaves a tail certified within tol; TailNotBounded
+    when N would exceed DEFAULT_TERM_BUDGET.
+
+    The bound falls with N wherever it is finite.  Newton's method in
+    v = ln(N + 1) on gamma v + (N + 1) ln t = ln(tol (1 - t) / c), the log of
+    the bound for gamma <= 0 and below it for gamma > 0, started right of
+    the root (at the budget, or for gamma <= 0 where (N + 1) ln t alone
+    meets the target), falls onto it without overshooting, since the
+    function is concave and decreasing there.  A galloping search from its
+    guess then finds N exactly: in a step or two for gamma <= 0, and in
+    O(log N) steps however far off the guess is (gamma > 0, whose bound has
+    the factor 1/(1 - rho) instead, or has no root when the bound is only
+    infinite or within tol).
+    """
+    def ok(n: int) -> bool:
+        return _certified_tail(c, gamma, n + 1, t) <= tol
+
+    if not ok(DEFAULT_TERM_BUDGET):
+        raise TailNotBounded(f"tail not certified below tol={tol!r} within {DEFAULT_TERM_BUDGET} terms "
+                             f"at t={t!r}")
+    if ok(0):
+        return 0
+    ln_t, target = math.log(t), math.log(tol * (1.0 - t) / c)
+    v = math.log(DEFAULT_TERM_BUDGET + 1.0)
+    if gamma <= 0.0:  # target < 0 here, since ok(0) failed
+        v = min(v, max(0.0, math.log(target / ln_t)))
+    for _ in range(100):
+        step = (gamma * v + math.exp(v) * ln_t - target) / (gamma + math.exp(v) * ln_t)
+        v -= step
+        if step * math.exp(v) < 0.5:
+            break
+    # ok(lo) is false and ok(hi) true; gallop from the guess, then bisect.
+    lo, hi, step = 0, DEFAULT_TERM_BUDGET, 1
+    guess = min(max(math.ceil(math.exp(v)) - 1, 1), hi)
+    if ok(guess):
+        hi = guess
+        while hi - step > lo and ok(hi - step):
+            hi, step = hi - step, 2 * step
+        lo = max(lo, hi - step)
+    else:
+        lo = guess
+        while lo + step < hi and not ok(lo + step):
+            lo, step = lo + step, 2 * step
+        hi = min(hi, lo + step)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if ok(mid) else (mid, hi)
+    return hi
+
+
 # Overflow and 0 * inf surface as non-finite a_n, which the finite check
 # reports; numpy's own warnings would only repeat it.
 @np.errstate(all="ignore")

@@ -20,6 +20,7 @@ property the kernels are built to exhibit.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -29,11 +30,12 @@ from .errors import (
     BoundaryAmbiguous,
     DomainError,
     InvalidConfig,
+    TailNotBounded,
     TestFunctionBoundary,
     check_t,
 )
 from .quadrature import eval_test_function, integrate
-from .resummation import CoefficientSequence
+from .resummation import _BLOCK_MAX, AbelEvaluation, CoefficientSequence, _certified_tail, _certified_terms
 
 PI = math.pi
 
@@ -219,8 +221,9 @@ def well_action_sequence(x: float, p: int) -> CoefficientSequence:
     g = y(pi - y) at x in (0, pi): g_n = sqrt(2/pi) 4/n^3 for odd n (0 for
     even n) and E_n = n^2/2 give a_n = (8/pi) (n^2/2)^p sin(nx)/n^3 over odd
     n, i.e. (8/pi) sin(nx)/n^3 (identity) and (4/pi) sin(nx)/n (H).  The
-    growth hint 2p - 3 lets abel_eval certify the geometric tail; the
-    normalised b_n = a_n / n^(2p - 3) are (8/pi) 2^-p sin(nx) over odd n."""
+    growth hint is 2p - 3, and the normalised b_n = a_n / n^(2p - 3) are
+    (8/pi) 2^-p sin(nx) over odd n, so |b_n| <= C = (8/pi) 2^-p, the bound
+    well_action_evaluations certifies its tails with."""
     if not 0.0 < x < PI:
         raise DomainError(f"x={x!r} must lie in (0, pi)")
     scale = 8.0 / PI * 0.5 ** p
@@ -229,3 +232,66 @@ def well_action_sequence(x: float, p: int) -> CoefficientSequence:
         return (n.astype(np.int64) & 1) * scale * np.sin(n * x)
 
     return CoefficientSequence(term_block, growth_hint=2.0 * p - 3.0, start_index=1)
+
+
+# Within a block, t^(2j) = hi[j // _STRIDE] * lo[j % _STRIDE]: each row keeps
+# two short power tables, whatever its depth.
+_STRIDE = 64
+
+
+def well_action_evaluations(x: float, p: int, ts, tol: float) -> list:
+    """The series of well_action_sequence(x, p) at each t in ts, as
+    AbelEvaluations made in one pass over odd n.
+
+    The row at t sums n <= N, the least N with _certified_tail(C, 2p - 3,
+    N + 1, t) <= tol for C = (8/pi) 2^-p >= |b_n|: its tail_bound is a true
+    bound, and terms_used is N (the even n, where a_n = 0, are skipped).
+    The a_n come from term_block in blocks of _BLOCK_MAX odd n; each block
+    is made once and summed by every row whose prefix reaches it.  A row's
+    wall_ms times its own sums, not the shared blocks.  At the first t whose
+    N exceeds DEFAULT_TERM_BUDGET, TailNotBounded is raised carrying the
+    evaluations of the t before it, and no a_n past their N is made.
+    """
+    if not 0.0 < tol < math.inf:
+        raise InvalidConfig("tol must be finite and positive")
+    seq = well_action_sequence(x, p)
+    c, gamma = 8.0 / PI * 0.5 ** p, seq.growth_hint
+    schedule, failure = [], None  # (t, N) of each row to make
+    for t in ts:
+        check_t(t)
+        try:
+            schedule.append((t, _certified_terms(c, gamma, t, tol)))
+        except TailNotBounded as exc:
+            failure = exc
+            break
+    n_last = max((n for _, n in schedule), default=0)
+    parts = [[] for _ in schedule]  # each row's block sums
+    walls = [0.0] * len(schedule)
+    tables = [None] * len(schedule)
+    for n0 in range(1, n_last + 1, 2 * _BLOCK_MAX):
+        idx = np.arange(n0, min(n0 + 2 * _BLOCK_MAX, n_last + 1), 2, dtype=np.float64)
+        coeffs = np.asarray(seq.term_block(idx), dtype=np.float64) * idx ** gamma
+        if not np.all(np.isfinite(coeffs)):
+            raise DomainError(f"non-finite coefficient near n={n0}")
+        strided = coeffs[:coeffs.size - coeffs.size % _STRIDE].reshape(-1, _STRIDE)
+        for i, (t, n) in enumerate(schedule):
+            if n < n0:
+                continue
+            start = time.perf_counter()
+            if tables[i] is None:
+                tables[i] = (t ** np.arange(0.0, 2.0 * _STRIDE, 2.0),
+                             t ** np.arange(0.0, 2.0 * _BLOCK_MAX, 2.0 * _STRIDE))
+            lo, hi = tables[i]
+            q, r = divmod(min(n - n0, idx.size * 2 - 2) // 2 + 1, _STRIDE)
+            s = float(hi[:q] @ (strided[:q] @ lo))
+            if r:
+                s += float(hi[q] * (coeffs[q * _STRIDE:q * _STRIDE + r] @ lo[:r]))
+            parts[i].append(s * t ** n0)
+            walls[i] += time.perf_counter() - start
+    evaluations = [AbelEvaluation(t=t, value=math.fsum(part), terms_used=n,
+                                  tail_bound=_certified_tail(c, gamma, n + 1, t), wall_ms=wall * 1e3)
+                   for (t, n), part, wall in zip(schedule, parts, walls)]
+    if failure is not None:
+        failure.evaluations = evaluations
+        raise failure
+    return evaluations

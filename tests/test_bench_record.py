@@ -35,7 +35,21 @@ def test_summary_keeps_every_metric_and_its_unit():
 def test_paired_ratios_divide_each_candidate_run_by_its_baseline_twin():
     base = runs([1.0, 2.0, 4.0, 0.0])
     cand = runs([2.0, 3.0, 2.0, 5.0])  # the last pair has no ratio
-    assert bench_record.paired(base, cand) == {"ops_per_s": {"median": 1.5, "min": 0.5, "max": 2.0, "n": 3}}
+    assert bench_record.paired(base, cand, {"ops_per_s": "higher"}) == {
+        "ops_per_s": {"median": 1.5, "min": 0.5, "max": 2.0, "n": 3, "wins": 2}}
+
+
+@pytest.mark.parametrize("better, wins", [("higher", 1), ("lower", 2)])
+def test_wins_count_the_pairs_better_in_the_metrics_direction(better, wins):
+    base = runs([2.0, 2.0, 2.0, 2.0], "m", "ms")
+    cand = runs([1.0, 2.0, 3.0, 1.0], "m", "ms")  # the tie counts for neither side
+    assert bench_record.paired(base, cand, {"m": better})["m"]["wins"] == wins
+
+
+def test_directions_are_those_of_the_benchmark():
+    better = bench_record.directions()
+    assert better["ops_per_s"] == better["ok_ratio"] == "higher"
+    assert better["op_p50_ms"] == better["op_p90_ms"] == better["peak_rss_mb"] == better["setup_s"] == "lower"
 
 
 def test_alternate_swaps_the_first_side_each_time():
@@ -68,15 +82,18 @@ def test_record_against_a_baseline_pairs_every_seed_and_launch_round(tmp_path, m
     bench = bench_record.record(roots, "x")
     untraced = [(c[0], c[2]) for c in calls if c[1] == "zeta-mix" and c[3] == 0]
     assert untraced == [("old", 1), ("new", 1), ("new", 2), ("old", 2), ("old", 3), ("new", 3),
-                        ("new", 4), ("old", 4), ("old", 5), ("new", 5)]
+                        ("new", 4), ("old", 4), ("old", 5), ("new", 5), ("new", 6), ("old", 6),
+                        ("old", 7), ("new", 7), ("new", 8), ("old", 8), ("old", 9), ("new", 9),
+                        ("new", 10), ("old", 10)]
     assert [c[0] for c in calls if c[1] == "cli"] == ["old", "new", "new", "old", "old", "new",
                                                       "new", "old", "old", "new"]
     for workload in bench_record.WORKLOADS:
-        assert bench["paired"][workload] == {"ops_per_s": {"median": 2.0, "min": 2.0, "max": 2.0, "n": 5}}
-        assert bench["workloads"][workload]["summary"]["ops_per_s"]["median"] == 6.0
-        assert bench["baseline"]["workloads"][workload]["summary"]["ops_per_s"]["median"] == 3.0
+        assert bench["paired"][workload] == {"ops_per_s": {"median": 2.0, "min": 2.0, "max": 2.0, "n": 10,
+                                                           "wins": 10}}
+        assert bench["workloads"][workload]["summary"]["ops_per_s"]["median"] == 11.0
+        assert bench["baseline"]["workloads"][workload]["summary"]["ops_per_s"]["median"] == 5.5
         assert bench["workloads"][workload]["traced"]["seed"] == 1
-    assert bench["paired"]["cli"] == {"zeta --s -1": {"median": 0.75, "min": 0.75, "max": 0.75, "n": 5}}
+    assert bench["paired"]["cli"] == {"zeta --s -1": {"median": 0.75, "min": 0.75, "max": 0.75, "n": 5, "wins": 5}}
     assert bench["cli"]["exit"] == bench["baseline"]["cli"]["exit"] == {"zeta --s -1": 0}
 
 

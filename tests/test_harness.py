@@ -139,6 +139,16 @@ def test_mehler_check_builds_one_hermite_table_per_run(tmp_path, monkeypatch):
     assert tables[1:] == [40]
 
 
+def test_mehler_check_refuses_a_truncation_it_cannot_bound(tmp_path, capsys):
+    short, deep = tmp_path / "k11.csv", tmp_path / "k12.csv"
+    assert main(["mehler-check", "--k-max", "11", "--output", str(short)]) == 0
+    # t_12 = 1 - 2^-12 needs more than 60 000 terms for its tail to be within tol/10
+    assert main(["mehler-check", "--k-max", "12", "--output", str(deep)]) == 2
+    assert "verdict=TailNotBounded" in capsys.readouterr().out.splitlines()[-1]
+    rows = read_rows(str(deep))
+    assert len(rows) == 11 and [r[:5] for r in rows] == [r[:5] for r in read_rows(str(short))]
+
+
 def test_run_requires_s(tmp_path):
     with pytest.raises(InvalidConfig):
         run(RunConfig(subcommand="zeta", output_path=str(tmp_path / "z.csv")))
@@ -410,8 +420,9 @@ def test_precision_limited_zeta_stops_where_its_term_budget_runs_out(tmp_path, m
 @pytest.mark.parametrize(
     "argv, module, name",
     [
-        (["well-delta", "--x", "1"], eulersum.harness, "abel_eval"),
-        (["well-hamiltonian", "--x", "2"], eulersum.harness, "abel_eval"),
+        # a well row's prefix is sized once per t_k, before the pass
+        (["well-delta", "--x", "1"], eulersum.square_well, "_certified_terms"),
+        (["well-hamiltonian", "--x", "2"], eulersum.square_well, "_certified_terms"),
         (["well-integral"], eulersum.square_well, "k_interval_integral"),
     ],
 )
@@ -421,7 +432,7 @@ def test_walk_failure_keeps_the_rows_made(tmp_path, monkeypatch, argv, module, n
     calls = []
     original = getattr(module, name)
 
-    def failing_after_three(*args):
+    def failing_after_three(*args):  # fails at row 4
         if len(calls) == 3:
             raise TailNotBounded("injected after three points")
         calls.append(args)
@@ -590,13 +601,78 @@ def test_action_rows_match_the_closed_forms(tmp_path, subcommand):
             assert row.value == pytest.approx(_CLOSED_FORMS[subcommand](x, row.t), abs=inner_tol)
 
 
-def test_well_action_rows_are_abel_evaluations(tmp_path, monkeypatch, capsys):
+def recording_well_pass(monkeypatch):
+    """Record each call of square_well.well_action_evaluations and the size of
+    every coefficient block it asks term_block for."""
+    passes, blocks = [], []
+    sequence, evaluations = eulersum.square_well.well_action_sequence, eulersum.square_well.well_action_evaluations
+
+    def recorded_sequence(x, p):
+        seq = sequence(x, p)
+        return eulersum.resummation.CoefficientSequence(
+            lambda n: blocks.append(n.size) or seq.term_block(n), seq.growth_hint, seq.start_index)
+
+    def recorded_pass(*args):
+        try:
+            passes.append(evaluations(*args))
+        except TailNotBounded as exc:
+            passes.append(exc.evaluations)
+            raise
+        return passes[-1]
+
+    monkeypatch.setattr(eulersum.square_well, "well_action_sequence", recorded_sequence)
+    monkeypatch.setattr(eulersum.square_well, "well_action_evaluations", recorded_pass)
+    return passes, blocks
+
+
+@pytest.mark.parametrize("subcommand, x", [("well-delta", 0.3), ("well-hamiltonian", 1.0)])
+def test_well_action_rows_are_the_odd_n_pass_evaluations(tmp_path, monkeypatch, subcommand, x, capsys):
     made = counting_abel_eval(monkeypatch)
-    out = tmp_path / "wh.csv"
-    assert main(["well-hamiltonian", "--x", "1", "--output", str(out)]) == 0
+    passes, _ = recording_well_pass(monkeypatch)
+    out = tmp_path / "w.csv"
+    assert main([subcommand, "--x", str(x), "--output", str(out)]) == 0
     rows = read_rows(str(out))
-    assert [(r.t, r.value) for r in rows] == [(e.t, e.value) for e in made]
-    assert all(e.tail_bound <= 1e-10 for e in made)
+    # one pass per run, no Abel evaluation, and each row reports its evaluation
+    assert len(passes) == 1 and not made
+    assert [(r.t, r.value, r.wall_time_ms) for r in rows] == [(e.t, e.value, e.wall_ms) for e in passes[0]]
+    p = 0 if subcommand == "well-delta" else 1
+    seq = eulersum.square_well.well_action_sequence(x, p)
+    for e in passes[0]:
+        assert e.tail_bound <= 1e-10
+        # the pass's certificate is a true bound: abel_eval at the same t agrees within both
+        ev = eulersum.resummation.abel_eval(seq, e.t, 1e-10)
+        assert abs(e.value - ev.value) <= e.tail_bound + ev.tail_bound
+        # it sums no more terms than abel_eval, which counts the even zeros
+        assert e.terms_used <= ev.terms_used
+
+
+def test_well_action_pass_asks_for_one_block_at_a_time(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "deep.csv"
+    assert main(["well-delta", "--k-max", "30", "--output", str(out)]) == 0
+    expected = read_rows(str(out))
+    passes, blocks = recording_well_pass(monkeypatch)
+    assert main(["well-delta", "--k-max", "30", "--output", str(out)]) == 0
+    assert [r[:5] for r in read_rows(str(out))] == [r[:5] for r in expected]
+    # memory is bounded by the block size, and each odd n <= N(t_30) is made once
+    n_last = passes[0][-1].terms_used
+    assert max(blocks) == eulersum.resummation._BLOCK_MAX
+    assert sum(blocks) == (n_last + 1) // 2 and len(blocks) == -(-sum(blocks) // max(blocks))
+
+
+def test_well_delta_runs_out_of_term_budget_at_its_39th_point(tmp_path, monkeypatch, capsys):
+    passes, blocks = recording_well_pass(monkeypatch)
+    out = tmp_path / "wd.csv"
+    assert main(["well-delta", "--k-max", "40", "--output", str(out)]) == 2
+    assert capsys.readouterr().out == (
+        "[well-delta] verdict=TailNotBounded detail=tail not certified below tol=1e-10 within 20000000 terms "
+        f"at t={1.0 - 2.0 ** -39!r} file={out}\n")
+    rows = read_rows(str(out))
+    assert [r.k for r in rows] == list(range(1, 39))
+    assert all(r.reference is not None and r.abs_error is not None for r in rows)
+    # no coefficient past the last feasible row's prefix is made
+    n_last = passes[0][-1].terms_used
+    assert n_last <= eulersum.resummation.DEFAULT_TERM_BUDGET
+    assert sum(blocks) == (n_last + 1) // 2
 
 
 def test_deep_well_hamiltonian_approaches(tmp_path, capsys):

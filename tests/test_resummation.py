@@ -14,6 +14,8 @@ from eulersum.resummation import (
     DEFAULT_TERM_BUDGET,
     CoefficientSequence,
     EulerLimitConfig,
+    _certified_tail,
+    _certified_terms,
     abel_eval,
     euler_limit,
 )
@@ -431,3 +433,23 @@ def test_diagonal_well_kernel_grows_like_one_over_u():
     with pytest.raises(NoEulerSum) as excinfo:
         euler_limit(well_kernel(1.0, 1.0))
     assert growth_exponent(excinfo.value) == pytest.approx(1.0, abs=0.05)
+
+
+@given(c=st.sampled_from([1e-20, 0.3, 8.0 / math.pi, 1e20]),
+       gamma=st.sampled_from([-3.0, -1.0, -0.5, 0.0, 0.5, 1.0, 3.0]),
+       t=st.sampled_from([0.0, 1e-300, 0.1, 0.5, 0.9, 0.99, 0.999]),
+       tol=st.sampled_from([1e-300, 1e-14, 1e-10, 1.0, 1e30]))
+@settings(max_examples=200, deadline=None)
+def test_certified_terms_is_the_least_prefix_with_a_closed_tail(c, gamma, t, tol):
+    n = _certified_terms(c, gamma, t, tol)
+    assert _certified_tail(c, gamma, n + 1, t) <= tol
+    # the first N a linear search from 0 would stop at
+    assert n == 0 or not _certified_tail(c, gamma, n, t) <= tol
+    assert all(not _certified_tail(c, gamma, m + 1, t) <= tol for m in range(min(n, 3000)))
+
+
+def test_certified_terms_refuses_a_prefix_past_the_budget():
+    t = 1.0 - 2.0 ** -39
+    with pytest.raises(TailNotBounded, match=re.escape(f"within {DEFAULT_TERM_BUDGET} terms at t={t!r}")):
+        _certified_terms(8.0 / math.pi, -3.0, t, 1e-10)
+    assert _certified_terms(8.0 / math.pi, -3.0, 1.0 - 2.0 ** -38, 1e-10) <= DEFAULT_TERM_BUDGET

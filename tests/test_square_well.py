@@ -2,13 +2,15 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eulersum.errors import BoundaryAmbiguous, DomainError, TestFunctionBoundary, TNotInUnitInterval
+from eulersum.errors import BoundaryAmbiguous, DomainError, InvalidConfig, TestFunctionBoundary, TNotInUnitInterval
 from eulersum.quadrature import integrate
+from eulersum.resummation import abel_eval
 from eulersum.square_well import (
     IntervalIntegralQuery,
     WellKernelPoint,
@@ -21,6 +23,7 @@ from eulersum.square_well import (
     k_series,
     phi_well,
     well_action,
+    well_action_evaluations,
     well_action_sequence,
 )
 
@@ -354,3 +357,46 @@ def test_well_action_sequence_coefficients(p):
     for bad in (0.0, PI, -1.0, 5.0):
         with pytest.raises(DomainError):
             well_action_sequence(bad, p)
+
+
+def _well_action_closed_form(x, p, t):
+    """(8/pi) 2^-p Im[Li_{3-2p}(z) - 2^{2p-3} Li_{3-2p}(z^2)], z = t e^{ix}:
+    the sum over odd n of a_n t^n."""
+    with mpmath.workdps(30):
+        z = mpmath.mpf(t) * mpmath.expj(mpmath.mpf(x))
+        s = 3 - 2 * p
+        return float(8 / mpmath.pi * mpmath.mpf(2) ** -p
+                     * mpmath.im(mpmath.polylog(s, z) - mpmath.mpf(2) ** (2 * p - 3) * mpmath.polylog(s, z * z)))
+
+
+@given(x=st.floats(min_value=0.0, max_value=PI, exclude_min=True, exclude_max=True),
+       p=st.sampled_from([0, 1, 2, 3]), k_max=st.integers(1, 14))
+@settings(max_examples=30, deadline=None)
+def test_well_action_pass_is_within_its_certified_tail(x, p, k_max):
+    ts = [1.0 - 0.5 ** k for k in range(1, k_max + 1)]
+    evaluations = well_action_evaluations(x, p, ts, 1e-10)
+    assert [e.t for e in evaluations] == ts
+    seq = well_action_sequence(x, p)
+    for e in evaluations:
+        assert e.tail_bound <= 1e-10
+        # Roundoff, 4 eps C sum n^(2p-3) (1 + n x) t^n with C = (8/pi) 2^-p: the
+        # sum's own, and sin(nx) taken at nx rounded to double.  Deep in p = 3
+        # it exceeds the values, as it does for abel_eval.
+        roundoff = 4.0 * EPS * 8.0 / PI * 0.5 ** p * float(
+            mpmath.polylog(3 - 2 * p, e.t) + x * mpmath.polylog(2 - 2 * p, e.t))
+        assert abs(e.value - _well_action_closed_form(x, p, e.t)) <= e.tail_bound + roundoff
+        ev = abel_eval(seq, e.t, 1e-10)
+        assert abs(e.value - ev.value) <= e.tail_bound + ev.tail_bound + 2.0 * roundoff
+
+
+def test_well_action_pass_refuses_bad_input():
+    for tol in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(InvalidConfig):
+            well_action_evaluations(1.0, 0, [0.5], tol)
+    for t in (1.0, -0.5, math.nan):
+        with pytest.raises(TNotInUnitInterval):
+            well_action_evaluations(1.0, 0, [0.5, t], 1e-10)
+    with pytest.raises(DomainError):
+        well_action_evaluations(0.0, 0, [0.5], 1e-10)
+    # t = 0 sums no term: f(0) = 0, start_index being 1
+    assert well_action_evaluations(1.0, 1, [0.0], 1e-10)[0].value == 0.0

@@ -4,7 +4,7 @@
     python3 tools/bench_record.py --label old --root ../old-checkout
 
 Runs ``perfbench/run.py`` of the checkout at ``--root`` (default: this
-repository) for every workload at seeds 1-5, then once more per workload
+repository) for every workload at seeds 1-10, then once more per workload
 with ``--trace 1`` at seed 1, and times LAUNCHES rounds of fresh
 ``python -m eulersum`` launches of the checkout, one of each CLI_CASES
 command per round.  With ``--against REV`` it also checks REV out into a
@@ -20,7 +20,10 @@ time of each command's launches and its exit status; the checkout's git
 sha; and the host.  With ``--against`` the baseline's own sections sit
 under "baseline", and "paired" holds, for each workload and metric and
 for each CLI command, the median, min and max of the candidate/baseline
-ratio over the pairs, and their number n.  Standard library only.
+ratio over the pairs, their number n, and the candidate's wins: the pairs
+in which it is better, in the direction BENCHMARK.json gives the metric
+(lower wall time for a CLI command), ties counting for neither.  Standard
+library only.
 """
 
 from __future__ import annotations
@@ -40,7 +43,8 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 WORKLOADS = ("zeta-mix", "actions-deep", "sweep-io")
-SEEDS = (1, 2, 3, 4, 5)
+# Ten pairs per workload: a gain is claimed only if the change wins nine.
+SEEDS = tuple(range(1, 11))
 # Each perfbench run's --seconds; it makes at least three passes regardless.
 SECONDS = 8.0
 # CLI commands timed end to end: every subcommand at its defaults (zeta has
@@ -75,16 +79,25 @@ def alternate(count: int, measure, sides=SIDES) -> dict:
     return out
 
 
-def paired(baseline: list, candidate: list) -> dict:
+def directions(path: Path = REPO / "BENCHMARK.json") -> dict:
+    """Each benchmark metric's better direction, "higher" or "lower"."""
+    spec = json.loads(path.read_text())
+    return {m["name"]: m["better"] for m in (*spec["end_to_end"], *spec["per_layer"])}
+
+
+def paired(baseline: list, candidate: list, better: dict) -> dict:
     """Median, min and max of the candidate/baseline ratio of each metric
     over the pairs (baseline[i], candidate[i]) of runs, as summarise() reads
-    a run, and their number n; a pair whose baseline value is 0 is left out."""
+    a run, their number n, and the wins: the pairs whose ratio is above 1
+    for a metric better "higher" in ``better``, below 1 for one better
+    "lower".  A pair whose baseline value is 0 is left out."""
     out = {}
     for name in candidate[0]:
         r = sorted(c[name]["value"] / b[name]["value"] for b, c in zip(baseline, candidate)
                    if name in b and b[name]["value"])
         if r:
-            out[name] = {"median": statistics.median(r), "min": r[0], "max": r[-1], "n": len(r)}
+            wins = sum(x > 1.0 if better[name] == "higher" else x < 1.0 for x in r)
+            out[name] = {"median": statistics.median(r), "min": r[0], "max": r[-1], "n": len(r), "wins": wins}
     return out
 
 
@@ -162,7 +175,7 @@ def record(roots: dict, label: str) -> dict:
                            "outcomes": detail["outcomes"]},
             }
         if len(sides) == 2:
-            pairs[workload] = paired(*([metrics for metrics, _ in got[side]] for side in SIDES))
+            pairs[workload] = paired(*([metrics for metrics, _ in got[side]] for side in SIDES), directions())
     rounds = alternate(LAUNCHES, lambda side, i: launch_round(roots[side]), sides)
     for side in sides:
         trees[side]["cli"] = cli_section(rounds[side])
@@ -171,7 +184,8 @@ def record(roots: dict, label: str) -> dict:
              "seeds": list(SEEDS), "seconds": SECONDS}
     if len(sides) == 2:
         bench["baseline"] = trees["baseline"]
-        bench["paired"] = {**pairs, "cli": paired(rounds["baseline"], rounds["candidate"])}
+        lower = {name: "lower" for name in rounds["candidate"][0]}
+        bench["paired"] = {**pairs, "cli": paired(rounds["baseline"], rounds["candidate"], lower)}
     return bench
 
 
