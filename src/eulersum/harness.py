@@ -13,6 +13,7 @@ name appears in the summary line).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -31,7 +32,7 @@ import numpy as np
 from . import oscillator as osc
 from . import square_well as sw
 from .errors import DomainError, EulerSumError, InvalidConfig, TailNotBounded
-from .resummation import INNER_TOL_FACTOR, EulerLimitConfig, euler_limit
+from .resummation import INNER_TOL_FACTOR, EulerLimitConfig, _certified_terms, euler_limit
 # Unused here, but perfbench/spans.py wraps harness.abel_eval by name.
 from .resummation import abel_eval
 from .zeta import alternating_sequence, plain_sequence, reference_value
@@ -335,27 +336,25 @@ _MEHLER_GRID = [float(v) for v in range(-2, 3)]
 _MEHLER_MAX_TERMS = 60000
 
 
-def _mehler_terms(t: float, tol: float) -> int:
-    """The last index N of the Mehler series at 0 < t < 1: N >= 300 with the
-    uniform tail bound sup|phi|^2 t^(N+1)/(1-t) below tol/10."""
-    sup2 = 0.6667  # above sup_x |phi_n(x)|^2 <= pi^(-1/2) ~ 0.564 for all n (Indritz)
-    need = math.log(tol * (1.0 - t) / (10.0 * sup2)) / math.log(t)
-    return max(300, int(need) + 1)
-
-
 def _run_mehler_check(config: RunConfig):
-    """Per t_k, max |series - closed form| on the check grid; each t_k sums a
-    prefix of one Hermite table, built for the deepest t_k whose tail can be
-    bounded within _MEHLER_MAX_TERMS.  A t_k past it raises TailNotBounded,
-    and the rows before it stay."""
-    xs = np.asarray(_MEHLER_GRID)
-    sizes = [_mehler_terms(t, config.tolerance) for t in _schedule(config)]
-    table = osc._hermite_function_table(max((n for n in sizes if n <= _MEHLER_MAX_TERMS), default=0), xs)
+    """Per t_k, max |series - closed form| on the check grid.  Each t_k sums
+    n <= N, the least N >= 300 whose uniform tail bound sup|phi|^2
+    t^(N+1)/(1-t) is within tol/10, as a prefix of one Hermite table built
+    for the deepest such N up to _MEHLER_MAX_TERMS.  A t_k past it raises
+    TailNotBounded, and the rows before it stay."""
+    xs, tol = np.asarray(_MEHLER_GRID), config.tolerance / 10.0
+    sizes = {}  # N at each t_k, up to the first whose tail no term budget bounds
+    with contextlib.suppress(TailNotBounded):
+        for t in _schedule(config):
+            # 0.6667 is above sup_x |phi_n(x)|^2 <= pi^(-1/2) ~ 0.564 for all n (Indritz)
+            sizes[t] = max(300, _certified_terms(0.6667, 0.0, t, tol))
+    table = osc._hermite_function_table(max((n for n in sizes.values() if n <= _MEHLER_MAX_TERMS),
+                                            default=0), xs)
 
     def max_gap(t: float) -> float:
-        n = _mehler_terms(t, config.tolerance)
+        n = sizes.get(t, math.inf)
         if n > _MEHLER_MAX_TERMS:
-            raise TailNotBounded(f"Mehler tail not bounded below tol/10={config.tolerance / 10.0!r} "
+            raise TailNotBounded(f"Mehler tail not bounded below tol/10={tol!r} "
                                  f"within {_MEHLER_MAX_TERMS} terms at t={t!r}")
         rows = table[:n + 1]
         series = np.einsum("n,ni,nj->ij", t ** np.arange(len(rows), dtype=np.float64), rows, rows)
@@ -378,11 +377,10 @@ def sweep(config: RunConfig, grid) -> list:
         raise InvalidConfig(f"sweep --kernel {kernel_name} needs finite x, y in [{lo:g}, {hi:g}]")
     xs, ys = points.T
     n, nk = xs.size, config.k_max + 1
-    ts, walls, values = [], [], np.empty((n, nk))
-    for k in range(nk):
-        ts.append(1.0 - config.t_ratio ** k)
+    ts, walls, values = [0.0, *_schedule(config)], [], np.empty((n, nk))
+    for k, t in enumerate(ts):
         start = time.perf_counter()
-        values[:, k] = _SWEEP_KERNELS[kernel_name](xs, ys, ts[-1])
+        values[:, k] = _SWEEP_KERNELS[kernel_name](xs, ys, t)
         walls.append((time.perf_counter() - start) * 1e3 / n)
     finite = np.isfinite(values)
     if not finite.all():

@@ -135,16 +135,13 @@ def _certified_terms(c: float, gamma: float, t: float, tol: float) -> int:
     that summing n <= N leaves a tail certified within tol; TailNotBounded
     when N would exceed DEFAULT_TERM_BUDGET.
 
-    The bound falls with N wherever it is finite.  Newton's method in
-    v = ln(N + 1) on gamma v + (N + 1) ln t = ln(tol (1 - t) / c), the log of
-    the bound for gamma <= 0 and below it for gamma > 0, started right of
-    the root (at the budget, or for gamma <= 0 where (N + 1) ln t alone
-    meets the target), falls onto it without overshooting, since the
-    function is concave and decreasing there.  A galloping search from its
-    guess then finds N exactly: in a step or two for gamma <= 0, and in
-    O(log N) steps however far off the guess is (gamma > 0, whose bound has
-    the factor 1/(1 - rho) instead, or has no root when the bound is only
-    infinite or within tol).
+    The bound falls with N wherever it is finite.  For gamma <= 0 Newton's
+    method solves gamma v + (N + 1) ln t = ln tol + ln(1 - t) - ln c in
+    v = ln(N + 1), the exact log of the bound, whose left side is concave
+    and decreasing: started right of the root (at the budget, or where
+    (N + 1) ln t alone meets the right side) it falls onto it without
+    overshooting.  A galloping search from that guess, or from N = 1 for
+    gamma > 0, then finds N exactly, in O(log N) steps at worst.
     """
     def ok(n: int) -> bool:
         return _certified_tail(c, gamma, n + 1, t) <= tol
@@ -154,18 +151,17 @@ def _certified_terms(c: float, gamma: float, t: float, tol: float) -> int:
                              f"at t={t!r}")
     if ok(0):
         return 0
-    ln_t, target = math.log(t), math.log(tol * (1.0 - t) / c)
-    v = math.log(DEFAULT_TERM_BUDGET + 1.0)
-    if gamma <= 0.0:  # target < 0 here, since ok(0) failed
-        v = min(v, max(0.0, math.log(target / ln_t)))
-    for _ in range(100):
-        step = (gamma * v + math.exp(v) * ln_t - target) / (gamma + math.exp(v) * ln_t)
-        v -= step
-        if step * math.exp(v) < 0.5:
-            break
+    lo, hi, step, guess = 0, DEFAULT_TERM_BUDGET, 1, 1
+    if gamma <= 0.0:  # target < ln t < 0 here, since ok(0) failed
+        ln_t, target = math.log(t), math.log(tol) + math.log1p(-t) - math.log(c)
+        v = min(math.log(DEFAULT_TERM_BUDGET + 1.0), max(0.0, math.log(target / ln_t)))
+        for _ in range(100):
+            dv = (gamma * v + math.exp(v) * ln_t - target) / (gamma + math.exp(v) * ln_t)
+            v -= dv
+            if dv * math.exp(v) < 0.5:
+                break
+        guess = min(max(math.ceil(math.exp(v)) - 1, 1), hi)
     # ok(lo) is false and ok(hi) true; gallop from the guess, then bisect.
-    lo, hi, step = 0, DEFAULT_TERM_BUDGET, 1
-    guess = min(max(math.ceil(math.exp(v)) - 1, 1), hi)
     if ok(guess):
         hi = guess
         while hi - step > lo and ok(hi - step):

@@ -223,7 +223,12 @@ def well_action_sequence(x: float, p: int) -> CoefficientSequence:
     n, i.e. (8/pi) sin(nx)/n^3 (identity) and (4/pi) sin(nx)/n (H).  The
     growth hint is 2p - 3, and the normalised b_n = a_n / n^(2p - 3) are
     (8/pi) 2^-p sin(nx) over odd n, so |b_n| <= C = (8/pi) 2^-p, the bound
-    well_action_evaluations certifies its tails with."""
+    well_action_evaluations certifies its tails with.
+
+    That bound covers truncation only: sin(nx) is taken at n x rounded to
+    double, which moves f(t) by up to eps C x sum n^(2p-2) t^n (eps = 2^-53).
+    For p >= 2 this can dwarf the tail: at x = 1.4773763804838909, p = 3,
+    t = 1 - 2^-13 the sum is 64.9 off its closed form, with tail bound 1e-10."""
     if not 0.0 < x < PI:
         raise DomainError(f"x={x!r} must lie in (0, pi)")
     scale = 8.0 / PI * 0.5 ** p
@@ -245,7 +250,8 @@ def well_action_evaluations(x: float, p: int, ts, tol: float) -> list:
 
     The row at t sums n <= N, the least N with _certified_tail(C, 2p - 3,
     N + 1, t) <= tol for C = (8/pi) 2^-p >= |b_n|: its tail_bound is a true
-    bound, and terms_used is N (the even n, where a_n = 0, are skipped).
+    bound on truncation (rounding is not in it; see well_action_sequence),
+    and terms_used is N (the even n, where a_n = 0, are skipped).
     The a_n come from term_block in blocks of _BLOCK_MAX odd n; each block
     is made once and summed by every row whose prefix reaches it.  A row's
     wall_ms times its own sums, not the shared blocks.  At the first t whose
@@ -256,32 +262,28 @@ def well_action_evaluations(x: float, p: int, ts, tol: float) -> list:
         raise InvalidConfig("tol must be finite and positive")
     seq = well_action_sequence(x, p)
     c, gamma = 8.0 / PI * 0.5 ** p, seq.growth_hint
-    schedule, failure = [], None  # (t, N) of each row to make
+    schedule, failure = [], None  # t, N and the power tables lo, hi of each row to make
     for t in ts:
         check_t(t)
         try:
-            schedule.append((t, _certified_terms(c, gamma, t, tol)))
+            schedule.append((t, _certified_terms(c, gamma, t, tol), t ** np.arange(0.0, 2.0 * _STRIDE, 2.0),
+                             t ** np.arange(0.0, 2.0 * _BLOCK_MAX, 2.0 * _STRIDE)))
         except TailNotBounded as exc:
             failure = exc
             break
-    n_last = max((n for _, n in schedule), default=0)
+    n_last = max((n for _, n, _, _ in schedule), default=0)
     parts = [[] for _ in schedule]  # each row's block sums
     walls = [0.0] * len(schedule)
-    tables = [None] * len(schedule)
     for n0 in range(1, n_last + 1, 2 * _BLOCK_MAX):
         idx = np.arange(n0, min(n0 + 2 * _BLOCK_MAX, n_last + 1), 2, dtype=np.float64)
         coeffs = np.asarray(seq.term_block(idx), dtype=np.float64) * idx ** gamma
         if not np.all(np.isfinite(coeffs)):
             raise DomainError(f"non-finite coefficient near n={n0}")
         strided = coeffs[:coeffs.size - coeffs.size % _STRIDE].reshape(-1, _STRIDE)
-        for i, (t, n) in enumerate(schedule):
+        for i, (t, n, lo, hi) in enumerate(schedule):
             if n < n0:
                 continue
             start = time.perf_counter()
-            if tables[i] is None:
-                tables[i] = (t ** np.arange(0.0, 2.0 * _STRIDE, 2.0),
-                             t ** np.arange(0.0, 2.0 * _BLOCK_MAX, 2.0 * _STRIDE))
-            lo, hi = tables[i]
             q, r = divmod(min(n - n0, idx.size * 2 - 2) // 2 + 1, _STRIDE)
             s = float(hi[:q] @ (strided[:q] @ lo))
             if r:
@@ -290,7 +292,7 @@ def well_action_evaluations(x: float, p: int, ts, tol: float) -> list:
             walls[i] += time.perf_counter() - start
     evaluations = [AbelEvaluation(t=t, value=math.fsum(part), terms_used=n,
                                   tail_bound=_certified_tail(c, gamma, n + 1, t), wall_ms=wall * 1e3)
-                   for (t, n), part, wall in zip(schedule, parts, walls)]
+                   for (t, n, _, _), part, wall in zip(schedule, parts, walls)]
     if failure is not None:
         failure.evaluations = evaluations
         raise failure

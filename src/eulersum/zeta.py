@@ -39,7 +39,8 @@ def alternating_sequence(s: float) -> CoefficientSequence:
     normalised b_n = a_n / n^-s is the prefactor with the sign of a_n."""
     if s == 1.0:
         raise DomainError("prefactor pole at s = 1")
-    pref = 1.0 / (1.0 - 2.0 ** (1.0 - s))
+    u = 1.0 - s  # near the pole 1 - 2^u cancels, and -expm1(u ln 2) keeps its digits
+    pref = -1.0 / math.expm1(u * math.log(2.0)) if abs(u) < 0.05 else 1.0 / (1.0 - 2.0 ** u)
     by_parity = np.array([-pref, pref])
 
     def term_block(idx: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 """tools/bench_record.py: quartiles, the alternation of paired runs and their ratios."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -97,13 +98,28 @@ def test_record_against_a_baseline_pairs_every_seed_and_launch_round(tmp_path, m
     assert bench["cli"]["exit"] == bench["baseline"]["cli"]["exit"] == {"zeta --s -1": 0}
 
 
-def test_record_of_one_tree_has_no_pairs(tmp_path, monkeypatch):
-    monkeypatch.setattr(bench_record, "run_bench", lambda *args: ({"a": {"value": 1.0, "unit": "s"}},
-                                                                  {"deck_sha256": "", "passes": 3, "outcomes": {}}))
-    monkeypatch.setattr(bench_record, "launch_round", lambda root: {"c": {"value": 1.0, "unit": "ms", "exit": 0}})
-    bench = bench_record.record({"candidate": tmp_path}, "x")
-    assert "paired" not in bench and "baseline" not in bench
-    assert set(bench["workloads"]) == set(bench_record.WORKLOADS) and bench["cli"]["launches"] == 5
+def test_a_baseline_revision_is_required(capsys):
+    with pytest.raises(SystemExit):
+        bench_record.main(["--label", "x"])
+    assert "--against" in capsys.readouterr().err
+
+
+def test_archive_extracts_the_committed_tree_outside_the_repository(tmp_path):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@example.org", *args], cwd=repo,
+                       check=True, capture_output=True)
+
+    git("init", "-q")
+    (repo / "f.txt").write_text("one")
+    git("add", "f.txt")
+    git("commit", "-q", "-m", "one")
+    (repo / "f.txt").write_text("two")  # uncommitted
+    with bench_record.archive(repo, "HEAD") as tree:
+        assert (tree / "f.txt").read_text() == "one" and not (tree / ".git").exists()
+    assert not tree.exists()
 
 
 def test_cli_cases_cover_every_subcommand():

@@ -149,6 +149,19 @@ def test_mehler_check_refuses_a_truncation_it_cannot_bound(tmp_path, capsys):
     assert len(rows) == 11 and [r[:5] for r in rows] == [r[:5] for r in read_rows(str(short))]
 
 
+@pytest.mark.parametrize("k_max", [4, 6, 8])
+def test_mehler_check_sums_the_least_certified_prefix(tmp_path, monkeypatch, k_max):
+    tables = []
+    original = eulersum.oscillator._hermite_function_table
+    monkeypatch.setattr(eulersum.oscillator, "_hermite_function_table",
+                        lambda n_max, x: tables.append(n_max) or original(n_max, x))
+    assert main(["mehler-check", "--k-max", str(k_max), "--output", str(tmp_path / "mc.csv")]) == 0
+    # the table is sized for t_k_max, whose bound 0.6667 t^(N+1)/(1-t) <= tol/10
+    # first holds at N, above the floor of 300 terms here
+    t, n = 1.0 - 0.5 ** k_max, tables[0]
+    assert n > 300 and 0.6667 * t ** (n + 1) / (1.0 - t) <= 1e-9 < 0.6667 * t ** n / (1.0 - t)
+
+
 def test_run_requires_s(tmp_path):
     with pytest.raises(InvalidConfig):
         run(RunConfig(subcommand="zeta", output_path=str(tmp_path / "z.csv")))
@@ -415,6 +428,21 @@ def test_precision_limited_zeta_stops_where_its_term_budget_runs_out(tmp_path, m
         "[zeta] verdict=TailNotBounded detail=tail not certified below tol=1e-14 within 20000000 terms "
         f"at t={1.0 - 2.0 ** -18!r} file={out}\n")
     assert len(made) == len(read_rows(str(out))) == 18
+
+
+@pytest.mark.parametrize(
+    "argv, status, verdict",
+    [
+        # tol (1 - t) / c underflows to 0 for the row's prefix search
+        (["well-delta", "--tol", "1e-320"], 0, "approaching"),
+        # a gamma > 0 tail that a single term closes
+        (["osc-hamiltonian", "--tol", "5e36"], 2, "not-approaching"),
+    ],
+)
+def test_extreme_tolerances_end_in_a_verdict(tmp_path, argv, status, verdict, capsys):
+    assert main([*argv, "--output", str(tmp_path / "r.csv")]) == status
+    out, err = capsys.readouterr()
+    assert f"verdict={verdict} " in out and not err
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ import re
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eulersum.errors import DomainError, InvalidConfig, NoEulerSum, TailNotBounded, TNotInUnitInterval
@@ -440,6 +440,10 @@ def test_diagonal_well_kernel_grows_like_one_over_u():
        t=st.sampled_from([0.0, 1e-300, 0.1, 0.5, 0.9, 0.99, 0.999]),
        tol=st.sampled_from([1e-300, 1e-14, 1e-10, 1.0, 1e30]))
 @settings(max_examples=200, deadline=None)
+# gamma > 0 with a tolerance no finite N needs: the bound is infinite until rho < 1
+@example(c=0.3, gamma=0.5, t=0.999, tol=1e30)
+# tol (1 - t) / c underflows to 0, though its log is finite
+@example(c=1e20, gamma=-3.0, t=1.0 - 2.0 ** -12, tol=1e-300)
 def test_certified_terms_is_the_least_prefix_with_a_closed_tail(c, gamma, t, tol):
     n = _certified_terms(c, gamma, t, tol)
     assert _certified_tail(c, gamma, n + 1, t) <= tol

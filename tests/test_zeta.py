@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -118,6 +119,15 @@ def test_alternating_term_block_matches_term(s):
             # numpy's vectorised pow may differ from libm's by one ulp,
             # which the prefactor can round to two
             assert np.all(np.abs(block - scalar) <= 2.0 * np.spacing(np.abs(scalar)))
+
+
+@pytest.mark.parametrize("s", [1.0 - 1e-7, 1.0 + 1e-7, 1.0 - 1e-4, 1.0 + 1e-4])
+def test_prefactor_keeps_its_digits_near_the_pole(s):
+    # 1 - 2^(1-s) cancels near s = 1; b_1 is the prefactor itself
+    pref = float(alternating_sequence(s).term_block(np.array([1.0]))[0])
+    with mpmath.workdps(40):
+        exact = 1 / (1 - mpmath.mpf(2) ** (1 - mpmath.mpf(s)))
+        assert abs((pref - exact) / exact) <= 1e-15
 
 
 def test_plain_sequence_is_all_ones_at_s_zero():

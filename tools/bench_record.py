@@ -1,29 +1,28 @@
-"""Record the benchmark of one source checkout as bench/BENCH_<label>.json.
+"""Record the benchmark of this checkout against a git revision as
+bench/BENCH_<label>.json.
 
     python3 tools/bench_record.py --label mine --against HEAD~1
-    python3 tools/bench_record.py --label old --root ../old-checkout
 
-Runs ``perfbench/run.py`` of the checkout at ``--root`` (default: this
-repository) for every workload at seeds 1-10, then once more per workload
-with ``--trace 1`` at seed 1, and times LAUNCHES rounds of fresh
-``python -m eulersum`` launches of the checkout, one of each CLI_CASES
-command per round.  With ``--against REV`` it also checks REV out into a
-temporary detached git worktree and measures that tree, the baseline, in
-pairs with the checkout, the candidate: each seed's (or launch round's)
-two runs go back to back, and which side runs first alternates from one
-to the next, so that drift of the host falls on both sides alike.
+Extracts REV with ``git archive`` into a temporary directory, the
+baseline, and measures it in pairs with this checkout, the candidate.
+For every workload at seeds 1-10 it runs ``perfbench/run.py`` of both
+trees, each seed's two runs back to back, then once more per workload and
+tree with ``--trace 1`` at seed 1.  It times LAUNCHES rounds of fresh
+``python -m eulersum`` launches of each tree, one of each CLI_CASES
+command per round, the two trees' rounds again back to back.  Which side
+runs first alternates from one pair to the next, so that drift of the
+host falls on both sides alike.
 
 The file holds, per workload, the median, q1 and q3 of each end-to-end
 metric over the seeds, every seed's metrics and outcome counts, and the
 traced run's per-layer metrics; under "cli", the median, q1 and q3 wall
 time of each command's launches and its exit status; the checkout's git
-sha; and the host.  With ``--against`` the baseline's own sections sit
-under "baseline", and "paired" holds, for each workload and metric and
-for each CLI command, the median, min and max of the candidate/baseline
-ratio over the pairs, their number n, and the candidate's wins: the pairs
-in which it is better, in the direction BENCHMARK.json gives the metric
-(lower wall time for a CLI command), ties counting for neither.  Standard
-library only.
+sha; and the host.  The baseline's own sections sit under "baseline", and
+"paired" holds, for each workload and metric and for each CLI command,
+the median, min and max of the candidate/baseline ratio over the pairs,
+their number n, and the candidate's wins: the pairs in which it is
+better, in the direction BENCHMARK.json gives the metric (lower wall time
+for a CLI command), ties counting for neither.  Standard library only.
 """
 
 from __future__ import annotations
@@ -31,12 +30,14 @@ from __future__ import annotations
 import argparse
 import contextlib
 import datetime
+import io
 import json
 import os
 import platform
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 import time
 from pathlib import Path
@@ -68,13 +69,13 @@ def summarise(runs: list) -> dict:
     return out
 
 
-def alternate(count: int, measure, sides=SIDES) -> dict:
-    """measure(side, i) for i in range(count), the sides back to back: in
+def alternate(count: int, measure) -> dict:
+    """measure(side, i) for i in range(count), the SIDES back to back: in
     their given order for even i, reversed for odd i.  Returns each side's
     results in the order of i."""
-    out = {side: [] for side in sides}
+    out = {side: [] for side in SIDES}
     for i in range(count):
-        for side in sides if i % 2 == 0 else sides[::-1]:
+        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
             out[side].append(measure(side, i))
     return out
 
@@ -155,15 +156,14 @@ def host() -> dict:
 
 def record(roots: dict, label: str) -> dict:
     """The BENCH file of roots["candidate"], measured in pairs with
-    roots["baseline"] when there is one."""
-    sides = tuple(side for side in SIDES if side in roots)
+    roots["baseline"]."""
     trees = {side: {"git_sha": _git(root, "rev-parse", "HEAD"),
                     "src_dirty": bool(_git(root, "status", "--porcelain", "--", "src")), "workloads": {}}
              for side, root in roots.items()}
     pairs = {}
     for workload in WORKLOADS:
-        got = alternate(len(SEEDS), lambda side, i: run_bench(roots[side], workload, SEEDS[i], SECONDS, 0), sides)
-        for side in sides:
+        got = alternate(len(SEEDS), lambda side, i: run_bench(roots[side], workload, SEEDS[i], SECONDS, 0))
+        for side in SIDES:
             runs = [metrics for metrics, _ in got[side]]
             traced, detail = run_bench(roots[side], workload, SEEDS[0], SECONDS, 1)
             trees[side]["workloads"][workload] = {
@@ -174,49 +174,38 @@ def record(roots: dict, label: str) -> dict:
                 "traced": {"seed": SEEDS[0], "metrics": {name: m["value"] for name, m in traced.items()},
                            "outcomes": detail["outcomes"]},
             }
-        if len(sides) == 2:
-            pairs[workload] = paired(*([metrics for metrics, _ in got[side]] for side in SIDES), directions())
-    rounds = alternate(LAUNCHES, lambda side, i: launch_round(roots[side]), sides)
-    for side in sides:
+        pairs[workload] = paired(*([metrics for metrics, _ in got[side]] for side in SIDES), directions())
+    rounds = alternate(LAUNCHES, lambda side, i: launch_round(roots[side]))
+    for side in SIDES:
         trees[side]["cli"] = cli_section(rounds[side])
-    bench = {"label": label, **trees["candidate"], "host": host(),
-             "utc": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
-             "seeds": list(SEEDS), "seconds": SECONDS}
-    if len(sides) == 2:
-        bench["baseline"] = trees["baseline"]
-        lower = {name: "lower" for name in rounds["candidate"][0]}
-        bench["paired"] = {**pairs, "cli": paired(rounds["baseline"], rounds["candidate"], lower)}
-    return bench
+    lower = {name: "lower" for name in rounds["candidate"][0]}
+    return {"label": label, **trees["candidate"], "host": host(),
+            "utc": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
+            "seeds": list(SEEDS), "seconds": SECONDS, "baseline": trees["baseline"],
+            "paired": {**pairs, "cli": paired(rounds["baseline"], rounds["candidate"], lower)}}
 
 
 @contextlib.contextmanager
-def worktree(repo: Path, rev: str):
-    """``rev`` of the git repository at ``repo``, checked out detached in a
-    temporary worktree that is removed on exit."""
+def archive(repo: Path, rev: str):
+    """The tree of ``rev`` in the git repository at ``repo``, extracted by
+    ``git archive`` into a temporary directory that is removed on exit."""
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "baseline"
-        subprocess.run(["git", "worktree", "add", "--detach", str(path), rev], cwd=repo, check=True,
-                       capture_output=True, stdin=subprocess.DEVNULL)
-        try:
-            yield path
-        finally:
-            subprocess.run(["git", "worktree", "remove", "--force", str(path)], cwd=repo,
-                           capture_output=True, stdin=subprocess.DEVNULL)
+        proc = subprocess.run(["git", "archive", "--format=tar", rev], cwd=repo, check=True,
+                              capture_output=True, stdin=subprocess.DEVNULL)
+        with tarfile.open(fileobj=io.BytesIO(proc.stdout)) as tar:
+            tar.extractall(tmp, filter="data")
+        yield Path(tmp)
 
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--label", required=True, help="names the file bench/BENCH_<label>.json")
-    p.add_argument("--root", type=Path, default=REPO, help="source checkout to measure")
-    p.add_argument("--against", metavar="REV", help="git revision of --root to measure in pairs with it")
+    p.add_argument("--against", metavar="REV", required=True,
+                   help="git revision to measure in pairs with this checkout")
     args = p.parse_args(argv)
-    roots = {"candidate": args.root.resolve()}
-    with contextlib.ExitStack() as stack:
-        if args.against:
-            roots["baseline"] = stack.enter_context(worktree(roots["candidate"], args.against))
-        bench = record(roots, args.label)
-    if args.against:
-        bench["baseline"]["rev"] = args.against
+    with archive(REPO, args.against) as baseline:
+        bench = record({"baseline": baseline, "candidate": REPO}, args.label)
+    bench["baseline"].update(rev=args.against, git_sha=_git(REPO, "rev-parse", args.against))
     out = REPO / "bench" / f"BENCH_{args.label}.json"
     out.parent.mkdir(exist_ok=True)
     out.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")
