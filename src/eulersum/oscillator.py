@@ -43,6 +43,7 @@ class MehlerPoint:
         check_t(self.t)
 
 
+@np.errstate(all="ignore")  # a non-finite entry is reported as NOverflow
 def _hermite_function_table(n_max: int, x: ArrayLike) -> np.ndarray:
     """phi_0(x) .. phi_{n_max}(x) stacked on a new first axis, by the
     normalised recurrence

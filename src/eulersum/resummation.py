@@ -3,8 +3,8 @@
 A divergent series sum(a_n) is assigned a value by evaluating
 f(t) = sum(a_n * t^n) inside the unit interval and extrapolating the
 sequence f(t_k) along a schedule t_k = 1 - r^k to t = 1.  Evaluation is
-certified: a growth hint on the coefficients yields a geometric tail
-bound, which closes only for t < 1, so f is never evaluated at t = 1.
+certified: each series' coefficient bound yields a geometric tail bound,
+which closes only for t < 1, so f is never evaluated at t = 1.
 Extrapolation is Neville polynomial extrapolation in u = 1 - t;
 divergent series are detected and reported rather than summed.
 """
@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError, EulerSumError, InvalidConfig, NoEulerSum, TailNotBounded, check_t
 
-# Evaluation proceeds in vectorised blocks; bounds are re-checked per block.
+# Evaluation proceeds in vectorised blocks up to the certified prefix.
 # Blocks start small and double so that fast-decaying series stop before
 # coefficients like 2^n are ever materialised at overflow-prone indices.
 _BLOCK_MIN = 128
@@ -47,21 +47,23 @@ INNER_TOL_FACTOR = 100.0
 class CoefficientSequence:
     """Vectorised term oracle defining a (possibly divergent) series sum(a_n).
 
-    ``growth_hint`` gamma asserts |a_n| <= C * n^gamma for some C.
     ``term_block`` maps an ndarray of integer-valued float indices
-    n >= start_index to the normalised coefficients
-    b_n = a_n / max(n, 1)^gamma, which are bounded by C; abel_eval forms
-    a_n = b_n * max(n, 1)^gamma, and estimates C from the b_n it has seen
-    to close a geometric tail bound.
+    n >= start_index to the normalised coefficients b_n = a_n / max(n, 1)^gamma,
+    gamma = ``growth_hint``, and ``bound`` states C >= |b_n| for all n >= 1.
+    abel_eval forms a_n = b_n * max(n, 1)^gamma and sums the prefix whose
+    tail _certified_terms certifies from C.
     """
 
     term_block: Callable[[np.ndarray], np.ndarray]
     growth_hint: float
+    bound: float
     start_index: int = 0
 
     def __post_init__(self):
         if self.start_index < 0 or int(self.start_index) != self.start_index:
             raise DomainError("start_index must be a non-negative integer")
+        if not 0.0 <= self.bound < math.inf:
+            raise DomainError("bound must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -111,23 +113,37 @@ class EulerLimitResult:
         return [(e.t, e.value) for e in self.evaluations]
 
 
-def _certified_tail(c_hat: float, gamma: float, n_next: int, t: float) -> float:
-    """Upper bound on sum_{n >= n_next} C n^gamma t^n for C = c_hat.
+def _certified_tail(c: float, gamma: float, n_next: int, t: float) -> float:
+    """Upper bound on sum_{n >= n_next} c n^gamma t^n.
 
     For gamma <= 0 the summand majorant is monotone and a plain geometric
     sum applies.  For gamma > 0 the ratio of consecutive majorant terms is
     at most t * ((n_next+1)/n_next)^gamma, which must be < 1 for the bound
-    to close; otherwise infinity is returned and summation continues.
+    to close; otherwise infinity is returned.  Where c n^gamma leaves the
+    double range, the lead term c n^gamma t^n is taken in logs.
     """
-    if c_hat == 0.0:
+    if c == 0.0 or t == 0.0:
         return 0.0
-    lead = c_hat * float(n_next) ** gamma * t ** n_next
+    try:
+        lead = c * float(n_next) ** gamma * t ** n_next
+    except OverflowError:
+        lead = math.inf
+    if not lead < math.inf:  # inf, or inf * 0
+        log_lead = math.log(c) + gamma * math.log(n_next) + n_next * math.log(t)
+        lead = math.exp(log_lead) if log_lead < 709.0 else math.inf
     if gamma <= 0.0:
         return lead / (1.0 - t)
-    rho = t * ((n_next + 1.0) / n_next) ** gamma
+    try:
+        rho = t * ((n_next + 1.0) / n_next) ** gamma
+    except OverflowError:
+        return math.inf
     if rho >= 1.0:
         return math.inf
     return lead / (1.0 - rho)
+
+
+def _over_budget(tol: float, t: float) -> TailNotBounded:
+    return TailNotBounded(f"tail not certified below tol={tol!r} within {DEFAULT_TERM_BUDGET} terms at t={t!r}")
 
 
 def _certified_terms(c: float, gamma: float, t: float, tol: float) -> int:
@@ -147,8 +163,7 @@ def _certified_terms(c: float, gamma: float, t: float, tol: float) -> int:
         return _certified_tail(c, gamma, n + 1, t) <= tol
 
     if not ok(DEFAULT_TERM_BUDGET):
-        raise TailNotBounded(f"tail not certified below tol={tol!r} within {DEFAULT_TERM_BUDGET} terms "
-                             f"at t={t!r}")
+        raise _over_budget(tol, t)
     if ok(0):
         return 0
     lo, hi, step, guess = 0, DEFAULT_TERM_BUDGET, 1, 1
@@ -182,22 +197,24 @@ def _certified_terms(c: float, gamma: float, t: float, tol: float) -> int:
 # reports; numpy's own warnings would only repeat it.
 @np.errstate(all="ignore")
 def abel_eval(seq: CoefficientSequence, t: float, tol: float) -> AbelEvaluation:
-    """Evaluate f(t) = sum(a_n t^n) for t in [0, 1), truncated once the
-    geometric tail bound from the growth hint drops below ``tol``.
+    """Evaluate f(t) = sum(a_n t^n) for t in [0, 1) in blocks up to the
+    first block end past N = _certified_terms(seq.bound, growth hint, t, tol).
 
-    TailNotBounded is raised when the coefficients overflow or the bound
-    does not close within DEFAULT_TERM_BUDGET terms; t outside [0, 1)
-    raises TNotInUnitInterval.
+    TailNotBounded is raised before any block is summed when n <= N holds
+    more than DEFAULT_TERM_BUDGET terms, and when the coefficients
+    overflow; t outside [0, 1) raises TNotInUnitInterval.
     """
     start = time.perf_counter()
     if not 0.0 < tol < math.inf:
         raise InvalidConfig("tol must be finite and positive")
     check_t(t)
     gamma = seq.growth_hint
+    last = _certified_terms(seq.bound, gamma, t, tol)
+    if last - seq.start_index >= DEFAULT_TERM_BUDGET:  # with a_0 the prefix is one term longer
+        raise _over_budget(tol, t)
 
     total = 0.0
     comp = 0.0  # Neumaier compensation
-    c_hat = 0.0
     n = seq.start_index
     block_size = _BLOCK_MIN
     powers = np.power(t, np.arange(_BLOCK_MIN, dtype=np.float64))  # powers[j] = t^j
@@ -225,19 +242,11 @@ def abel_eval(seq: CoefficientSequence, t: float, tol: float) -> AbelEvaluation:
         else:
             comp += (block_sum - s) + total
         total = s
-        c_hat = max(c_hat, float(np.max(np.abs(normed if n else normed[1:]))))
         n += block
-
-        bound = _certified_tail(c_hat, gamma, n, t)
-        if bound <= tol:
+        if n > last:
             return AbelEvaluation(t=t, value=total + comp, terms_used=n - seq.start_index,
-                                  tail_bound=bound, wall_ms=(time.perf_counter() - start) * 1e3)
-        # c_hat only grows, and a finite bound falls with n: if the bound at
-        # the end of the budget is not within tol now, no later block closes
-        # it.  At the end of the budget this is the bound just computed.
-        if not _certified_tail(c_hat, gamma, seq.start_index + DEFAULT_TERM_BUDGET, t) <= tol:
-            raise TailNotBounded(f"tail not certified below tol={tol!r} within {DEFAULT_TERM_BUDGET} terms "
-                                 f"at t={t!r}")
+                                  tail_bound=_certified_tail(seq.bound, gamma, n, t),
+                                  wall_ms=(time.perf_counter() - start) * 1e3)
 
 
 def _neville_at_zero(us: list, fs: list) -> float:

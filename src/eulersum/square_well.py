@@ -222,8 +222,7 @@ def well_action_sequence(x: float, p: int) -> CoefficientSequence:
     even n) and E_n = n^2/2 give a_n = (8/pi) (n^2/2)^p sin(nx)/n^3 over odd
     n, i.e. (8/pi) sin(nx)/n^3 (identity) and (4/pi) sin(nx)/n (H).  The
     growth hint is 2p - 3, and the normalised b_n = a_n / n^(2p - 3) are
-    (8/pi) 2^-p sin(nx) over odd n, so |b_n| <= C = (8/pi) 2^-p, the bound
-    well_action_evaluations certifies its tails with.
+    (8/pi) 2^-p sin(nx) over odd n, so the bound is C = (8/pi) 2^-p.
 
     That bound covers truncation only: sin(nx) is taken at n x rounded to
     double, which moves f(t) by up to eps C x sum n^(2p-2) t^n (eps = 2^-53).
@@ -236,7 +235,7 @@ def well_action_sequence(x: float, p: int) -> CoefficientSequence:
     def term_block(n: np.ndarray) -> np.ndarray:
         return (n.astype(np.int64) & 1) * scale * np.sin(n * x)
 
-    return CoefficientSequence(term_block, growth_hint=2.0 * p - 3.0, start_index=1)
+    return CoefficientSequence(term_block, growth_hint=2.0 * p - 3.0, bound=scale, start_index=1)
 
 
 # Within a block, t^(2j) = hi[j // _STRIDE] * lo[j % _STRIDE]: each row keeps
@@ -249,7 +248,7 @@ def well_action_evaluations(x: float, p: int, ts, tol: float) -> list:
     AbelEvaluations made in one pass over odd n.
 
     The row at t sums n <= N, the least N with _certified_tail(C, 2p - 3,
-    N + 1, t) <= tol for C = (8/pi) 2^-p >= |b_n|: its tail_bound is a true
+    N + 1, t) <= tol for the sequence's bound C: its tail_bound is a true
     bound on truncation (rounding is not in it; see well_action_sequence),
     and terms_used is N (the even n, where a_n = 0, are skipped).
     The a_n come from term_block in blocks of _BLOCK_MAX odd n; each block
@@ -261,7 +260,7 @@ def well_action_evaluations(x: float, p: int, ts, tol: float) -> list:
     if not 0.0 < tol < math.inf:
         raise InvalidConfig("tol must be finite and positive")
     seq = well_action_sequence(x, p)
-    c, gamma = 8.0 / PI * 0.5 ** p, seq.growth_hint
+    c, gamma = seq.bound, seq.growth_hint
     schedule, failure = [], None  # t, N and the power tables lo, hi of each row to make
     for t in ts:
         check_t(t)

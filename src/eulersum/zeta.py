@@ -46,7 +46,7 @@ def alternating_sequence(s: float) -> CoefficientSequence:
     def term_block(idx: np.ndarray) -> np.ndarray:
         return by_parity.take(idx.astype(np.int64) & 1)
 
-    return CoefficientSequence(term_block, growth_hint=-s, start_index=1)
+    return CoefficientSequence(term_block, growth_hint=-s, bound=abs(pref), start_index=1)
 
 
 def plain_sequence(s: float) -> CoefficientSequence:
@@ -54,9 +54,9 @@ def plain_sequence(s: float) -> CoefficientSequence:
 
     For s = 0 this is the all-ones series 1 + 1 + 1 + ..., which has no
     Euler sum; feeding it to euler_limit exercises the honest-failure
-    path.  The normalised b_n = a_n / n^-s are all ones.
+    path.  The normalised b_n = a_n / n^-s are all ones, with bound 1.
     """
-    return CoefficientSequence(np.ones_like, growth_hint=-s, start_index=1)
+    return CoefficientSequence(np.ones_like, growth_hint=-s, bound=1.0, start_index=1)
 
 
 def zeta_direct(s: float, tol: float) -> float:

@@ -638,7 +638,7 @@ def recording_well_pass(monkeypatch):
     def recorded_sequence(x, p):
         seq = sequence(x, p)
         return eulersum.resummation.CoefficientSequence(
-            lambda n: blocks.append(n.size) or seq.term_block(n), seq.growth_hint, seq.start_index)
+            lambda n: blocks.append(n.size) or seq.term_block(n), seq.growth_hint, seq.bound, seq.start_index)
 
     def recorded_pass(*args):
         try:
@@ -965,13 +965,30 @@ def test_cli_sweep_non_finite_kernel_value_exits_two(tmp_path, capsys, kernel, x
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("s, rc, summary", [
     ("-400", 2, "verdict=DomainError detail=non-finite coefficient near n=1"),
+    ("-146", 2, "verdict=DomainError detail=non-finite coefficient near n=129"),
+    ("-60", 2, "verdict=NoEulerSum detail=|f(t)| = 2.349e+56 exceeds 1/tolerance at t=0.5"),
+    ("-43", 2, "verdict=NoEulerSum detail=|f(t)| = 6.597e+29 exceeds 1/tolerance at t=0.5"),
     ("1e300", 0, "value=1 error_estimate=0 verdict=converged"),
 ])
 def test_cli_zeta_at_extreme_s_reports_without_numpy_warnings(tmp_path, capsys, s, rc, summary):
-    # n^400 overflows at n = 6; n^-1e300 underflows to 0 for n >= 2
+    # n^400 overflows at n = 6 and n^146 at n = 129; n^-1e300 underflows to 0
+    # for n >= 2.  For s <= -43 the tail bound's N^-s at the term budget
+    # overflows too, and is taken in logs.
     assert main(["zeta", "--s", s, "--output", str(tmp_path / "z.csv")]) == rc
     captured = capsys.readouterr()
     assert summary in captured.out and captured.err == ""
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("subcommand", ["osc-delta", "osc-hamiltonian"])
+@pytest.mark.parametrize("x", ["1.1e154", "-1e200"])
+def test_cli_osc_action_at_huge_x_reports_a_zero_reference(tmp_path, capsys, subcommand, x):
+    # x^2 overflows: phi_n(x) and exp(-x^2) are 0, and so is the reference
+    out = tmp_path / "o.csv"
+    assert main([subcommand, f"--x={x}", "--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "value=0 error_estimate=0 verdict=not-approaching" in captured.out and captured.err == ""
+    assert {(r.value, r.reference, r.abs_error) for r in read_rows(str(out))} == {(0.0, 0.0, 0.0)}
 
 
 def test_sweep_grid_row_cap(monkeypatch):

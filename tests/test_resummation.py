@@ -10,7 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eulersum.errors import DomainError, InvalidConfig, NoEulerSum, TailNotBounded, TNotInUnitInterval
+from eulersum.oscillator import osc_action_coefficients
 from eulersum.resummation import (
+    _BLOCK_MAX,
+    _BLOCK_MIN,
     DEFAULT_TERM_BUDGET,
     CoefficientSequence,
     EulerLimitConfig,
@@ -19,20 +22,20 @@ from eulersum.resummation import (
     abel_eval,
     euler_limit,
 )
-from eulersum.square_well import well_action_sequence
+from eulersum.square_well import well_action_evaluations, well_action_sequence
 from eulersum.zeta import alternating_sequence, plain_sequence
 
 EPS = np.finfo(float).eps
 
 
 def geometric(q):
-    # q^n for 0 < q <= 1 is bounded by 1
-    return CoefficientSequence(lambda n: q ** n, growth_hint=0.0)
+    # q^n for 0 < q <= 1 is bounded by q for n >= 1
+    return CoefficientSequence(lambda n: q ** n, growth_hint=0.0, bound=q)
 
 
 def alternating_unit():
     # -1, +1, -1, +1, ... from n = 1
-    return CoefficientSequence(lambda n: (-1.0) ** n, growth_hint=0.0, start_index=1)
+    return CoefficientSequence(lambda n: (-1.0) ** n, growth_hint=0.0, bound=1.0, start_index=1)
 
 
 def coefficients(seq, n_terms):
@@ -53,14 +56,14 @@ def abs_scale(seq, t, n_terms):
 
 def test_alternating_closed_form_at_half():
     # sum (-1)^(n+1) t^n = t/(1+t) = 1/3 at t = 0.5
-    seq = CoefficientSequence(lambda n: (-1.0) ** (n + 1), growth_hint=0.0, start_index=1)
+    seq = CoefficientSequence(lambda n: (-1.0) ** (n + 1), growth_hint=0.0, bound=1.0, start_index=1)
     ev = abel_eval(seq, 0.5, 1e-10)
     assert ev.value == pytest.approx(1.0 / 3.0, abs=1e-10)
 
 
 def test_square_well_growth_against_brute_force():
     # a_n = n^2: b_n = a_n / n^2 = 1
-    seq = CoefficientSequence(np.ones_like, growth_hint=2.0, start_index=1)
+    seq = CoefficientSequence(np.ones_like, growth_hint=2.0, bound=1.0, start_index=1)
     ev = abel_eval(seq, 0.9, 1e-8)
     oracle = math.fsum(n ** 2 * 0.9 ** n for n in range(1, 501))
     assert ev.value == pytest.approx(oracle, abs=1e-8)
@@ -74,14 +77,14 @@ def test_t_outside_unit_interval_rejected(t):
 
 def test_tail_bound_within_tolerance_on_success():
     # a_n = (-1)^(n+1) n
-    seq = CoefficientSequence(lambda n: (-1.0) ** (n + 1), growth_hint=1.0, start_index=1)
+    seq = CoefficientSequence(lambda n: (-1.0) ** (n + 1), growth_hint=1.0, bound=1.0, start_index=1)
     ev = abel_eval(seq, 0.97, 1e-9)
     assert 0.0 <= ev.tail_bound <= 1e-9
 
 
 def test_value_matches_brute_partial_sum_with_same_term_count():
     # a_n = (-1)^(n+1) n^0.5
-    seq = CoefficientSequence(lambda n: (-1.0) ** (n + 1), growth_hint=0.5, start_index=1)
+    seq = CoefficientSequence(lambda n: (-1.0) ** (n + 1), growth_hint=0.5, bound=1.0, start_index=1)
     for t in (0.0, 0.3, 0.9, 0.99):
         ev = abel_eval(seq, t, 1e-8)
         oracle = brute_partial(seq, t, ev.terms_used)
@@ -97,7 +100,7 @@ def test_value_matches_brute_partial_sum_with_same_term_count():
 )
 @settings(max_examples=40, deadline=None)
 def test_looser_tolerance_never_uses_more_terms(t, tol, factor):
-    seq = CoefficientSequence(lambda n: (-1.0) ** (n + 1) / (n + 1.0), growth_hint=0.0)
+    seq = CoefficientSequence(lambda n: (-1.0) ** (n + 1) / (n + 1.0), growth_hint=0.0, bound=0.5)
     tight = abel_eval(seq, t, tol)
     loose = abel_eval(seq, t, tol * factor)
     assert loose.terms_used <= tight.terms_used
@@ -110,21 +113,21 @@ def test_euler_limit_alternating_unit():
 
 
 def test_euler_limit_all_ones_has_no_sum():
-    ones = CoefficientSequence(np.ones_like, growth_hint=0.0)
+    ones = CoefficientSequence(np.ones_like, growth_hint=0.0, bound=1.0)
     with pytest.raises(NoEulerSum):
         euler_limit(ones)
 
 
 def test_euler_limit_one_two_three_has_no_sum():
     # a_n = n: b_n = 1
-    naturals = CoefficientSequence(np.ones_like, growth_hint=1.0, start_index=1)
+    naturals = CoefficientSequence(np.ones_like, growth_hint=1.0, bound=1.0, start_index=1)
     with pytest.raises(NoEulerSum):
         euler_limit(naturals)
 
 
 def test_euler_limit_minus_one_twelfth():
     # -1/3, +2/3, -3/3, +4/3, ...: b_n = a_n / n = (-1)^n / 3
-    seq = CoefficientSequence(lambda n: (-1.0) ** n / 3.0, growth_hint=1.0, start_index=1)
+    seq = CoefficientSequence(lambda n: (-1.0) ** n / 3.0, growth_hint=1.0, bound=1.0 / 3.0, start_index=1)
     res = euler_limit(seq)
     assert res.converged
     assert res.value == pytest.approx(-1.0 / 12.0, abs=1e-7)
@@ -137,17 +140,17 @@ def test_euler_limit_of_convergent_geometric():
 
 
 @pytest.mark.parametrize(
-    "term,start,hint,expected",
+    "term,start,hint,bound,expected",
     [
-        (lambda n: 0.5 ** n, 0, 0.0, 2.0),
+        (lambda n: 0.5 ** n, 0, 0.0, 0.5, 2.0),
         # 1/n! by lgamma: math.factorial(n) overflows a float past n = 170
-        (lambda n: np.exp(-np.array([math.lgamma(k + 1.0) for k in n])), 0, 0.0, math.e),
+        (lambda n: np.exp(-np.array([math.lgamma(k + 1.0) for k in n])), 0, 0.0, 1.0, math.e),
         # a_n = (-1)^(n+1) / n^2, given as b_n = a_n * n^2
-        (lambda n: (-1.0) ** (n + 1), 1, -2.0, math.pi ** 2 / 12.0),
+        (lambda n: (-1.0) ** (n + 1), 1, -2.0, 1.0, math.pi ** 2 / 12.0),
     ],
 )
-def test_consistency_with_ordinary_sums(term, start, hint, expected):
-    seq = CoefficientSequence(term, growth_hint=hint, start_index=start)
+def test_consistency_with_ordinary_sums(term, start, hint, bound, expected):
+    seq = CoefficientSequence(term, growth_hint=hint, bound=bound, start_index=start)
     res = euler_limit(seq)
     assert res.converged
     assert abs(res.value - expected) <= 10 * EulerLimitConfig().tolerance
@@ -173,7 +176,7 @@ def test_converged_implies_error_within_tolerance():
 
 
 def test_no_euler_sum_carries_partial_trace():
-    ones = CoefficientSequence(np.ones_like, growth_hint=0.0)
+    ones = CoefficientSequence(np.ones_like, growth_hint=0.0, bound=1.0)
     with pytest.raises(NoEulerSum) as excinfo:
         euler_limit(ones)
     assert len(excinfo.value.trace) >= 2
@@ -253,21 +256,22 @@ def test_abel_eval_gives_up_once_the_budget_cannot_close_the_bound():
     # the bound t^N / (1 - t) is still ~1e9 at N = DEFAULT_TERM_BUDGET
     t, tol = 1.0 - 2.0 ** -30, 1e-10
     with pytest.raises(TailNotBounded) as excinfo:
-        abel_eval(CoefficientSequence(ones, growth_hint=0.0), t, tol)
+        abel_eval(CoefficientSequence(ones, growth_hint=0.0, bound=1.0), t, tol)
     assert str(excinfo.value) == (f"tail not certified below tol={tol!r} within {DEFAULT_TERM_BUDGET} terms "
                                   f"at t={t!r}")
-    assert len(blocks) == 1
+    assert blocks == []
 
 
 def test_abel_eval_reports_coefficients_that_overflow():
     # Python's 2.0 ** 1024 raises OverflowError in the block that starts at n = 896
-    seq = CoefficientSequence(lambda n: np.array([2.0 ** int(m) for m in n]), growth_hint=0.0)
+    # the stated bound is false, and the prefix it certifies runs past n = 896
+    seq = CoefficientSequence(lambda n: np.array([2.0 ** int(m) for m in n]), growth_hint=0.0, bound=1.0)
     with pytest.raises(TailNotBounded, match=r"^coefficients overflow double precision near n=896;"):
         abel_eval(seq, 0.99, 1e-10)
 
 
 def test_abel_eval_of_an_all_zero_series_stops_after_one_block():
-    ev = abel_eval(CoefficientSequence(np.zeros_like, growth_hint=2.0), 0.99, 1e-10)
+    ev = abel_eval(CoefficientSequence(np.zeros_like, growth_hint=2.0, bound=0.0), 0.99, 1e-10)
     assert (ev.value, ev.terms_used, ev.tail_bound) == (0.0, 128, 0.0)
 
 
@@ -306,7 +310,44 @@ def test_bad_config_rejected(kwargs):
 
 def test_negative_start_index_rejected():
     with pytest.raises(DomainError):
-        CoefficientSequence(np.ones_like, growth_hint=0.0, start_index=-1)
+        CoefficientSequence(np.ones_like, growth_hint=0.0, bound=1.0, start_index=-1)
+
+
+@pytest.mark.parametrize("bound", [-1.0, -1e-300, math.inf, math.nan])
+def test_bound_must_be_finite_and_non_negative(bound):
+    with pytest.raises(DomainError):
+        CoefficientSequence(np.ones_like, growth_hint=0.0, bound=bound)
+
+
+def block_ends(start):
+    """The ends n (exclusive) of abel_eval's blocks from n = start."""
+    n, size = start, _BLOCK_MIN
+    while True:
+        n, size = n + size, min(2 * size, _BLOCK_MAX)
+        yield n
+
+
+def package_sequences():
+    near_pole = st.floats(min_value=0.951, max_value=1.049).filter(lambda s: s != 1.0)
+    return st.one_of(
+        st.one_of(st.floats(min_value=-4.0, max_value=3.0).filter(lambda s: s != 1.0), near_pole)
+        .map(alternating_sequence),
+        st.floats(min_value=-4.0, max_value=3.0).map(plain_sequence),
+        st.builds(well_action_sequence, st.floats(min_value=1e-3, max_value=math.pi - 1e-3),
+                  st.integers(min_value=-1, max_value=3)),
+    )
+
+
+@given(seq=package_sequences(), n0=st.integers(min_value=1, max_value=10 ** 7),
+       size=st.integers(min_value=1, max_value=512), t=st.floats(min_value=0.0, max_value=0.99),
+       tol=st.floats(min_value=1e-12, max_value=1e-4))
+@settings(max_examples=150, deadline=None)
+def test_stated_bound_holds_and_sets_the_prefix(seq, n0, size, t, tol):
+    assert np.all(np.abs(seq.term_block(np.arange(n0, n0 + size, dtype=np.float64))) <= seq.bound)
+    ev = abel_eval(seq, t, tol)
+    last = _certified_terms(seq.bound, seq.growth_hint, t, tol)
+    assert ev.terms_used == next(n for n in block_ends(seq.start_index) if n > last) - seq.start_index
+    assert ev.tail_bound <= tol
 
 
 # Summation error scale eps * sum |a_n| t^n (Higham, Accuracy and Stability
@@ -339,8 +380,10 @@ def test_well_action_series_matches_polylog_to_roundoff(p, x, t):
 
 
 # terms_used and tail_bound as computed when term_block returned a_n and the
-# constant C was estimated as max |a_n| / n^gamma: the same truncation, and a
-# bound within a few ulps, show that max |b_n| estimates the same C.
+# constant C was estimated as max |a_n| / n^gamma over the summed prefix.  The
+# stated bound keeps every truncation, and the tail bound, which is linear in
+# C, rescaled to that estimate is the pinned one within a few ulps.  The
+# estimate was the bound itself for zeta; the well's |sin(nx)| stays below 1.
 @pytest.mark.parametrize(
     "seq, t, tol, terms, tail",
     [
@@ -353,20 +396,22 @@ def test_well_action_series_matches_polylog_to_roundoff(p, x, t):
     ],
 )
 def test_truncation_matches_the_unnormalised_coefficients(seq, t, tol, terms, tail):
-    ev = abel_eval(seq(), t, tol)
+    seq = seq()
+    ev = abel_eval(seq, t, tol)
     assert ev.terms_used == terms
-    assert ev.tail_bound == pytest.approx(tail, rel=1e-15, abs=0.0)
+    estimate = np.max(np.abs(seq.term_block(np.arange(1.0, seq.start_index + terms))))
+    assert ev.tail_bound * (estimate / seq.bound) == pytest.approx(tail, rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("gamma, power_sum", [(2.0, 6.0), (-2.0, math.pi ** 2 / 12.0 - math.log(2.0) ** 2 / 2.0)])
 def test_start_index_zero_takes_b0_as_a0(gamma, power_sum):
     # max(0, 1)^gamma = 1, so a_0 = b_0 = 5 even where 0^gamma is infinite;
     # at t = 1/2, sum n^2 t^n = t(1 + t)/(1 - t)^3 = 6 and sum n^-2 t^n = Li_2(1/2)
-    seq = CoefficientSequence(lambda n: np.where(n == 0, 5.0, 1.0), growth_hint=gamma)
+    seq = CoefficientSequence(lambda n: np.where(n == 0, 5.0, 1.0), growth_hint=gamma, bound=1.0)
     ev = abel_eval(seq, 0.5, 1e-13)
     assert ev.value == pytest.approx(5.0 + power_sum, abs=1e-13)
-    # C is estimated over n >= 1 only: b_0 does not move the truncation
-    ones = abel_eval(CoefficientSequence(np.ones_like, growth_hint=gamma), 0.5, 1e-13)
+    # the bound covers n >= 1 only: b_0 does not move the truncation
+    ones = abel_eval(CoefficientSequence(np.ones_like, growth_hint=gamma, bound=1.0), 0.5, 1e-13)
     assert (ev.terms_used, ev.tail_bound) == (ones.terms_used, ones.tail_bound)
 
 
@@ -387,7 +432,7 @@ def total_terms(evaluations) -> int:
 def well_kernel(x, y):
     # (2/pi) sin(nx) sin(ny): the square well's completeness kernel at (x, y)
     return CoefficientSequence(lambda n: (2.0 / math.pi) * np.sin(n * x) * np.sin(n * y),
-                               growth_hint=0.0, start_index=1)
+                               growth_hint=0.0, bound=2.0 / math.pi, start_index=1)
 
 
 @given(s=st.floats(min_value=-3.0, max_value=0.9))
@@ -442,6 +487,9 @@ def test_diagonal_well_kernel_grows_like_one_over_u():
 @settings(max_examples=200, deadline=None)
 # gamma > 0 with a tolerance no finite N needs: the bound is infinite until rho < 1
 @example(c=0.3, gamma=0.5, t=0.999, tol=1e30)
+# n^gamma overflows a double long before the budget: the bound is taken in logs there
+@example(c=8.0 / math.pi, gamma=60.0, t=0.999, tol=1e-10)
+@example(c=1e20, gamma=150.0, t=0.99, tol=1e-14)
 # tol (1 - t) / c underflows to 0, though its log is finite
 @example(c=1e20, gamma=-3.0, t=1.0 - 2.0 ** -12, tol=1e-300)
 def test_certified_terms_is_the_least_prefix_with_a_closed_tail(c, gamma, t, tol):
@@ -457,3 +505,11 @@ def test_certified_terms_refuses_a_prefix_past_the_budget():
     with pytest.raises(TailNotBounded, match=re.escape(f"within {DEFAULT_TERM_BUDGET} terms at t={t!r}")):
         _certified_terms(8.0 / math.pi, -3.0, t, 1e-10)
     assert _certified_terms(8.0 / math.pi, -3.0, 1.0 - 2.0 ** -38, 1e-10) <= DEFAULT_TERM_BUDGET
+
+
+def test_certified_prefixes_of_steep_eigen_series_are_found():
+    # (2p - 3 = 43) and (p = 44): N^gamma at the term budget overflows a double
+    evaluations = well_action_evaluations(1.0, 23, [0.0, 0.5, 0.75], 1e-10)
+    assert [e.t for e in evaluations] == [0.0, 0.5, 0.75]
+    assert all(e.tail_bound <= 1e-10 and math.isfinite(e.value) for e in evaluations)
+    assert np.all(np.isfinite(osc_action_coefficients(0.7, 44, 1e-10)))
