@@ -262,6 +262,22 @@ def test_abel_eval_gives_up_once_the_budget_cannot_close_the_bound():
     assert blocks == []
 
 
+def test_abel_eval_counts_a0_in_the_term_budget():
+    # n <= N = DEFAULT_TERM_BUDGET from n = 0 is one term past the budget
+    blocks = []
+
+    def ones(n):
+        blocks.append(n.size)
+        return np.ones_like(n)
+
+    t = 1.0 - 2.0 ** -22
+    tol = _certified_tail(1.0, 0.0, DEFAULT_TERM_BUDGET + 1, t)
+    assert _certified_terms(1.0, 0.0, t, tol) == DEFAULT_TERM_BUDGET
+    with pytest.raises(TailNotBounded, match=f"within {DEFAULT_TERM_BUDGET} terms"):
+        abel_eval(CoefficientSequence(ones, growth_hint=0.0, bound=1.0), t, tol)
+    assert blocks == []
+
+
 def test_abel_eval_reports_coefficients_that_overflow():
     # Python's 2.0 ** 1024 raises OverflowError in the block that starts at n = 896
     # the stated bound is false, and the prefix it certifies runs past n = 896
@@ -490,6 +506,8 @@ def test_diagonal_well_kernel_grows_like_one_over_u():
 # n^gamma overflows a double long before the budget: the bound is taken in logs there
 @example(c=8.0 / math.pi, gamma=60.0, t=0.999, tol=1e-10)
 @example(c=1e20, gamma=150.0, t=0.99, tol=1e-14)
+# and so does 2^gamma in the ratio bound at n = 1, which is then infinite
+@example(c=0.3, gamma=2000.0, t=0.5, tol=1e-10)
 # tol (1 - t) / c underflows to 0, though its log is finite
 @example(c=1e20, gamma=-3.0, t=1.0 - 2.0 ** -12, tol=1e-300)
 def test_certified_terms_is_the_least_prefix_with_a_closed_tail(c, gamma, t, tol):

@@ -8,8 +8,6 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 import same_outputs  # noqa: E402
 
-from eulersum.harness import main, read_rows  # noqa: E402
-
 
 def test_decks_hold_every_workload_at_seeds_one_to_ten():
     decks = same_outputs.decks()
@@ -18,14 +16,14 @@ def test_decks_hold_every_workload_at_seeds_one_to_ten():
 
 
 def test_an_outcome_masks_the_output_path_and_ignores_wall_time(tmp_path):
-    first = same_outputs.outcome(main, read_rows, ["zeta", "--s", "-1"], tmp_path / "a.csv")
-    again = same_outputs.outcome(main, read_rows, ["zeta", "--s", "-1"], tmp_path / "b.csv")
+    first = same_outputs.outcome(["zeta", "--s", "-1"], tmp_path / "a.csv")
+    again = same_outputs.outcome(["zeta", "--s", "-1"], tmp_path / "b.csv")
     assert first == again
     assert first["exit"] == 0 and first["summary"].endswith("file=OUT")
 
 
 def test_an_outcome_keeps_a_failed_run_and_its_missing_rows(tmp_path):
-    got = same_outputs.outcome(main, read_rows, ["zeta", "--s", "nan"], tmp_path / "z.csv")
+    got = same_outputs.outcome(["zeta", "--s", "nan"], tmp_path / "z.csv")
     assert got == {"exit": 1, "summary": "", "rows": "unreadable: FileNotFoundError"}
 
 

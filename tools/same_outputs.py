@@ -38,17 +38,20 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
 
-def decks(root: Path = bench_record.REPO) -> dict:
-    """{(workload, seed): [argv, ...]} from the deck module of ``root``."""
-    spec = importlib.util.spec_from_file_location("_same_outputs_deck", root / "perfbench" / "deck.py")
+def decks() -> dict:
+    """{(workload, seed): [argv, ...]} from this checkout's deck module."""
+    path = bench_record.REPO / "perfbench" / "deck.py"
+    spec = importlib.util.spec_from_file_location("_same_outputs_deck", path)
     deck = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # dataclasses look it up
     spec.loader.exec_module(deck)
     return {(w, seed): [list(op.argv) for op in deck.build(w, seed)] for w in WORKLOADS for seed in SEEDS}
 
 
-def outcome(main, read_rows, argv: list, out: Path) -> dict:
+def outcome(argv: list, out: Path) -> dict:
     """One op's exit status (or the exception main raised), its stdout with
     the output path masked, and a digest of its rows without wall_time_ms."""
+    from eulersum.harness import main, read_rows
+
     out.unlink(missing_ok=True)
     stdout = io.StringIO()
     try:
@@ -66,11 +69,9 @@ def outcome(main, read_rows, argv: list, out: Path) -> dict:
 
 def worker() -> None:
     """Read a JSON list of argv from stdin; print one outcome per line."""
-    from eulersum.harness import main, read_rows
-
     with tempfile.TemporaryDirectory() as tmp:
         for argv in json.load(sys.stdin):
-            print(json.dumps(outcome(main, read_rows, argv, Path(tmp) / "out")), flush=True)
+            print(json.dumps(outcome(argv, Path(tmp) / "out")), flush=True)
 
 
 def run_tree(root: Path, ops: list) -> list:
