@@ -139,14 +139,18 @@ def test_euler_limit_of_convergent_geometric():
     assert res.value == pytest.approx(2.0, abs=1e-7)
 
 
+# Case ids name term, start, hint and expected sum, as before the bound column.
 @pytest.mark.parametrize(
     "term,start,hint,bound,expected",
     [
-        (lambda n: 0.5 ** n, 0, 0.0, 0.5, 2.0),
+        pytest.param(lambda n: 0.5 ** n, 0, 0.0, 0.5, 2.0,
+                     id="<lambda>-0-0.0-2.0"),
         # 1/n! by lgamma: math.factorial(n) overflows a float past n = 170
-        (lambda n: np.exp(-np.array([math.lgamma(k + 1.0) for k in n])), 0, 0.0, 1.0, math.e),
+        pytest.param(lambda n: np.exp(-np.array([math.lgamma(k + 1.0) for k in n])), 0, 0.0, 1.0, math.e,
+                     id=f"<lambda>-0-0.0-{math.e}"),
         # a_n = (-1)^(n+1) / n^2, given as b_n = a_n * n^2
-        (lambda n: (-1.0) ** (n + 1), 1, -2.0, 1.0, math.pi ** 2 / 12.0),
+        pytest.param(lambda n: (-1.0) ** (n + 1), 1, -2.0, 1.0, math.pi ** 2 / 12.0,
+                     id=f"<lambda>-1--2.0-{math.pi ** 2 / 12.0}"),
     ],
 )
 def test_consistency_with_ordinary_sums(term, start, hint, bound, expected):
