@@ -58,6 +58,9 @@ def _hermite_function_table(n_max: int, x: ArrayLike) -> np.ndarray:
     # [()] turns a 0-d array into a numpy scalar, whose arithmetic is
     # about 2.5x faster per step than the 0-d array's.
     x = np.asarray(x, dtype=np.float64)[()]
+    # Beyond |x| = 1e154 every phi_n(x) is 0, but sqrt(2) x would overflow
+    # before it multiplies phi_0 = 0; inf and nan pass on, to be reported.
+    x = np.where(np.isinf(x), x, np.clip(x, -1e154, 1e154))[()]
     out = np.empty((n_max + 1, *np.shape(x)))
     phi_prev = math.pi ** (-0.25) * np.exp(-0.5 * x * x)
     out[0] = phi_prev

@@ -981,9 +981,10 @@ def test_cli_zeta_at_extreme_s_reports_without_numpy_warnings(tmp_path, capsys, 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("subcommand", ["osc-delta", "osc-hamiltonian"])
-@pytest.mark.parametrize("x", ["1.1e154", "-1e200"])
+@pytest.mark.parametrize("x", ["1.1e154", "-1e200", "1.5e308", "-1.7e308"])
 def test_cli_osc_action_at_huge_x_reports_a_zero_reference(tmp_path, capsys, subcommand, x):
-    # x^2 overflows: phi_n(x) and exp(-x^2) are 0, and so is the reference
+    # x^2 overflows: phi_n(x) and exp(-x^2) are 0, and so is the reference;
+    # from |x| ~ 1.27e308 sqrt(2) x overflows too
     out = tmp_path / "o.csv"
     assert main([subcommand, f"--x={x}", "--output", str(out)]) == 2
     captured = capsys.readouterr()

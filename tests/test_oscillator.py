@@ -70,7 +70,7 @@ def test_phi_osc_matches_explicit(x, n):
         assert table[m] == pytest.approx([phi_explicit(m, v) for v in xs], rel=1e-9, abs=1e-12)
 
 
-@pytest.mark.parametrize("bad", [math.inf, math.nan])
+@pytest.mark.parametrize("bad", [math.inf, math.nan, -math.inf])
 def test_hermite_function_table_rejects_non_finite_x(bad):
     with np.errstate(invalid="ignore"):
         with pytest.raises(NOverflow):

@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 
 import mpmath
 import numpy as np
@@ -31,6 +32,12 @@ EPS = np.finfo(float).eps
 def geometric(q):
     # q^n for 0 < q <= 1 is bounded by q for n >= 1
     return CoefficientSequence(lambda n: q ** n, growth_hint=0.0, bound=q)
+
+
+def lead_term(c, gamma, n, t):
+    """c n^gamma t^n in 30-digit arithmetic."""
+    with mpmath.workdps(30):
+        return mpmath.mpf(c) * mpmath.mpf(n) ** gamma * mpmath.mpf(t) ** n
 
 
 def alternating_unit():
@@ -295,6 +302,14 @@ def test_abel_eval_of_an_all_zero_series_stops_after_one_block():
     assert (ev.value, ev.terms_used, ev.tail_bound) == (0.0, 128, 0.0)
 
 
+def test_abel_eval_tail_bound_covers_the_first_omitted_term():
+    # t^n underflows to 0 under |a_n| = |pref| n^60 well before the tail is below tol
+    seq, t, tol = alternating_sequence(-60.0), 0.75, 1e-300
+    ev = abel_eval(seq, t, tol)
+    first_omitted = lead_term(seq.bound, seq.growth_hint, seq.start_index + ev.terms_used, t)
+    assert float(first_omitted) <= ev.tail_bound <= tol
+
+
 def test_result_trace_views_its_evaluations():
     res = euler_limit(alternating_unit())
     assert res.evaluations
@@ -514,12 +529,33 @@ def test_diagonal_well_kernel_grows_like_one_over_u():
 @example(c=0.3, gamma=2000.0, t=0.5, tol=1e-10)
 # tol (1 - t) / c underflows to 0, though its log is finite
 @example(c=1e20, gamma=-3.0, t=1.0 - 2.0 ** -12, tol=1e-300)
+# t^n underflows to 0 under a c n^gamma near 1e300 long before the tail is below tol
+@example(c=3460016999699692.5, gamma=60.0, t=0.9869416549155869, tol=3.181052592836583e-292)
 def test_certified_terms_is_the_least_prefix_with_a_closed_tail(c, gamma, t, tol):
     n = _certified_terms(c, gamma, t, tol)
     assert _certified_tail(c, gamma, n + 1, t) <= tol
+    # the tail it closes is at least its lead term
+    lead = lead_term(c, gamma, n + 1, t)
+    assert lead < sys.float_info.min or _certified_tail(c, gamma, n + 1, t) >= lead * (1 - 1e-12)
     # the first N a linear search from 0 would stop at
     assert n == 0 or not _certified_tail(c, gamma, n, t) <= tol
     assert all(not _certified_tail(c, gamma, m + 1, t) <= tol for m in range(min(n, 3000)))
+
+
+@given(c=st.floats(min_value=1e-20, max_value=1e20), gamma=st.floats(min_value=-10.0, max_value=150.0),
+       n=st.integers(min_value=1, max_value=DEFAULT_TERM_BUDGET),
+       t=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
+@settings(max_examples=300, deadline=None)
+# t^n underflows to 0 while c n^gamma is near 1e300: the lead term is 2.8e-23
+@example(c=21.816218884002126, gamma=60.0, n=98924, t=0.9924958648831625)
+@example(c=3460016999699692.5, gamma=60.0, n=56689, t=0.9869416549155869)
+def test_certified_tail_is_never_below_its_lead_term(c, gamma, n, t):
+    bound = _certified_tail(c, gamma, n, t)
+    lead = lead_term(c, gamma, n, t)
+    if lead >= 2.0 ** -1074:  # a positive double
+        assert bound > 0.0
+    if lead >= sys.float_info.min:  # a positive normal double, or past the largest
+        assert bound >= lead * (1 - 1e-12)
 
 
 def test_certified_terms_refuses_a_prefix_past_the_budget():

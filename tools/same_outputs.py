@@ -1,16 +1,17 @@
 """Check that this checkout gives the same CLI outputs as a git revision on
-every op of the benchmark decks.
+every op of the benchmark decks and on a fixed list of edge ops.
 
     python3 tools/same_outputs.py --against HEAD~1
 
 Builds the decks of every workload at seeds 1-10 with this checkout's
-``perfbench/deck.py`` and extracts REV with ``bench_record.archive``.  Each
-tree runs all the ops in one process of its own, importing eulersum from
-its own ``src/``, one tree after the other.  For each op it compares the
-exit status, the summary line with the output path masked, and the rows
-read back with every column but ``wall_time_ms``.  Prints the op count per
-workload and each op that differs, and exits 1 on any difference.
-Standard library only.
+``perfbench/deck.py``, adds the fixed EDGE_OPS as a group of their own, and
+extracts REV with ``bench_record.archive``.  Each tree runs all the ops in
+one process of its own, importing eulersum from its own ``src/``, one tree
+after the other.  For each op it compares the exit status, the summary
+line with the output path masked, and the rows read back with every column
+but ``wall_time_ms``.  Prints the op count per workload (and of the edge
+ops) and each op that differs, and exits 1 on any difference.  Standard
+library only.
 """
 
 from __future__ import annotations
@@ -36,6 +37,24 @@ WORKLOADS = bench_record.WORKLOADS
 # threaded BLAS may sum in another order from one run to the next.
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+# Ops that reach the exits of resummation.euler_limit which no deck op
+# reaches, one per line in this order: too few deltas to judge; still
+# contracting at k-max; the term-budget break after t_0 and after six
+# points; |f| > 1/tol; failed to contract; abel_eval's TailNotBounded;
+# extrapolants grew; steady growth; converged at a ratio whose nodes are
+# not powers of two.
+EDGE_OPS = (
+    ("zeta", "--s", "-1", "--k-max", "2"),
+    ("zeta", "--s", "-1", "--k-max", "6"),
+    ("zeta", "--s", "-1", "--t-ratio", "1e-10"),
+    ("zeta", "--s", "-2", "--t-ratio", "0.1", "--tol", "1e-13"),
+    ("zeta", "--plain", "--s", "-3", "--tol", "1e-2"),
+    ("zeta", "--s", "-1", "--tol", "1e-12"),
+    ("zeta", "--s", "-2", "--tol", "1e-12"),
+    ("zeta", "--s", "-4", "--tol", "1e-8"),
+    ("zeta", "--plain", "--s", "0.5"),
+    ("zeta", "--s", "0.5", "--t-ratio", "0.3", "--tol", "1e-10"),
+)
 
 
 def decks() -> dict:
@@ -86,9 +105,10 @@ def run_tree(root: Path, ops: list) -> list:
 
 
 def compare(roots: dict, ops: dict) -> tuple:
-    """Run every op of ``ops`` ({(workload, seed): [argv, ...]}) in each of
-    roots["baseline"] and roots["candidate"]; returns ({workload: op
-    count}, [a line per op that differs])."""
+    """Run every op of ``ops`` ({(workload, seed): [argv, ...]}, where seed
+    is None for a group without one) in each of roots["baseline"] and
+    roots["candidate"]; returns ({workload: op count}, [a line per op that
+    differs])."""
     flat = [(key, i, argv) for key, argvs in ops.items() for i, argv in enumerate(argvs)]
     got = {side: run_tree(root, [argv for _, _, argv in flat]) for side, root in roots.items()}
     counts, diffs = {}, []
@@ -96,7 +116,8 @@ def compare(roots: dict, ops: dict) -> tuple:
         counts[key[0]] = counts.get(key[0], 0) + 1
         changed = [f"{field} {old[field]!r} -> {new[field]!r}" for field in old if old[field] != new[field]]
         if changed:
-            diffs.append(f"{key[0]} seed {key[1]} op {i} ({' '.join(argv)}): {'; '.join(changed)}")
+            where = key[0] if key[1] is None else f"{key[0]} seed {key[1]}"
+            diffs.append(f"{where} op {i} ({' '.join(argv)}): {'; '.join(changed)}")
     return counts, diffs
 
 
@@ -105,7 +126,8 @@ def main(argv=None) -> int:
     p.add_argument("--against", metavar="REV", required=True, help="git revision to compare this checkout with")
     args = p.parse_args(argv)
     with bench_record.archive(bench_record.REPO, args.against) as baseline:
-        counts, diffs = compare({"baseline": baseline, "candidate": bench_record.REPO}, decks())
+        ops = {**decks(), ("edge", None): [list(op) for op in EDGE_OPS]}
+        counts, diffs = compare({"baseline": baseline, "candidate": bench_record.REPO}, ops)
     for workload, n in counts.items():
         print(f"{workload}: {n} ops")
     for line in diffs:
