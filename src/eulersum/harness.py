@@ -32,7 +32,8 @@ import numpy as np
 from . import oscillator as osc
 from . import square_well as sw
 from .errors import DomainError, EulerSumError, InvalidConfig, TailNotBounded
-from .resummation import INNER_TOL_FACTOR, EulerLimitConfig, _certified_terms, euler_limit
+from .resummation import (_BLOCK_MIN, DEFAULT_TERM_BUDGET, INNER_TOL_FACTOR, EulerLimitConfig, _certified_terms,
+                          euler_limit)
 # Unused here, but perfbench/spans.py wraps harness.abel_eval by name.
 from .resummation import abel_eval
 from .zeta import alternating_sequence, plain_sequence, reference_value
@@ -101,7 +102,9 @@ class RunConfig:
     ``k_max``, ``output_path`` and parameter from the subcommand's defaults,
     so ``params`` holds exactly the subcommand's parameters, typed.  It is
     the one place that refuses a schedule: k-max must lie in [1, 60] ([0,
-    60] for sweep), and no t_k the run needs may round to 1.0.
+    60] for sweep), no t_k the run needs may round to 1.0, and zeta's
+    t-ratio may not be so small that the term budget ends its schedule at
+    t_0 = 0.
     """
 
     subcommand: str
@@ -137,6 +140,11 @@ class RunConfig:
         if 1.0 - self.t_ratio ** k_last == 1.0:
             raise InvalidConfig(f"t-ratio {self.t_ratio!r} puts t_{k_last} = 1 - r^{k_last} "
                                 "at 1.0 in double precision")
+        # euler_limit stops before a point that would need more than the term
+        # budget, terms_used / r of the last: at t_0 = 0 one block of _BLOCK_MIN.
+        if self.subcommand == "zeta" and _BLOCK_MIN / self.t_ratio > DEFAULT_TERM_BUDGET:
+            raise InvalidConfig(f"t-ratio {self.t_ratio!r} is below {_BLOCK_MIN}/{DEFAULT_TERM_BUDGET}: "
+                                "the term budget would end the schedule at t_0 = 0")
         if self.tolerance <= 0.0:
             raise InvalidConfig("tolerance must be finite and positive")
         if self.output_format not in ("csv", "json"):

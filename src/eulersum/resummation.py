@@ -11,6 +11,7 @@ divergent series are detected and reported rather than summed.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 import time
@@ -26,9 +27,17 @@ from .errors import DomainError, EulerSumError, InvalidConfig, NoEulerSum, TailN
 # fixes before the first block.  So the sizes only decide where past N the
 # sum stops and in what order it adds, and with that its roundoff, on which
 # the verdicts of the zeta-mix benchmark's precision-limited
-# `zeta --s -3.33` and `--s -3.15` depend (ROADMAP item 3).
+# `zeta --s -3.33` and `--s -3.15` depend (ROADMAP item 3).  Blocks start
+# at the sequence's start_index for every t, so a block kept in a
+# sequence's _kept holds the same terms at every t and reading it back
+# leaves the order of addition unchanged.
 _BLOCK_MIN = 128
 _BLOCK_MAX = 8192
+_OFFSETS = np.arange(_BLOCK_MAX, dtype=np.float64)  # n + _OFFSETS[:block] is a block's index, exact for n < 2^53
+
+# A sequence keeps the blocks a_n of its first _KEPT_TERMS terms (1 MB), so
+# that the evaluations of one limit make each of them once.
+_KEPT_TERMS = 2 ** 17
 
 # Terms spent in a single Abel evaluation before giving up.  Near t = 1 the
 # required truncation grows like 1/(1 - t); the limit extractor stops its
@@ -61,13 +70,16 @@ class CoefficientSequence:
     n >= start_index to the normalised coefficients b_n = a_n / max(n, 1)^gamma,
     gamma = ``growth_hint``, and ``bound`` states C >= |b_n| for all n >= 1.
     abel_eval forms a_n = b_n * max(n, 1)^gamma and sums the prefix whose
-    tail _certified_terms certifies from C.
+    tail _certified_terms certifies from C.  It keeps the read-only blocks
+    a_n of the first _KEPT_TERMS terms in ``_kept``, in block order, which
+    neither equality, hashing nor ``dataclasses.replace`` carries.
     """
 
     term_block: Callable[[np.ndarray], np.ndarray]
     growth_hint: float
     bound: float
     start_index: int = 0
+    _kept: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.start_index < 0 or int(self.start_index) != self.start_index:
@@ -231,24 +243,35 @@ def abel_eval(seq: CoefficientSequence, t: float, tol: float) -> AbelEvaluation:
     n = seq.start_index
     block_size = _BLOCK_MIN
     powers = np.power(t, np.arange(_BLOCK_MIN, dtype=np.float64))  # powers[j] = t^j
+    products = np.empty(_BLOCK_MAX)
+    kept = seq._kept
 
-    while True:
+    for b in itertools.count():
         block = min(block_size, DEFAULT_TERM_BUDGET - (n - seq.start_index))
         block_size = min(2 * block_size, _BLOCK_MAX)
         if block > powers.size:
             powers = np.concatenate((powers, np.power(t, np.arange(powers.size, block, dtype=np.float64))))
-        idx = np.arange(n, n + block, dtype=np.float64)
-        try:
-            normed = np.asarray(seq.term_block(idx), dtype=np.float64)
-        except OverflowError:
-            raise TailNotBounded(
-                f"coefficients overflow double precision near n={n}; "
-                "the tail cannot be evaluated, let alone bounded"
-            )
-        coeffs = normed if gamma == 0.0 else normed * (idx if n else np.maximum(idx, 1.0)) ** gamma
-        if not np.all(np.isfinite(coeffs)):
+        if b < len(kept):
+            coeffs = kept[b]
+        else:
+            idx = _OFFSETS[:block] + n
+            try:
+                normed = np.asarray(seq.term_block(idx), dtype=np.float64)
+            except OverflowError:
+                raise TailNotBounded(
+                    f"coefficients overflow double precision near n={n}; "
+                    "the tail cannot be evaluated, let alone bounded"
+                )
+            coeffs = normed if gamma == 0.0 else normed * (idx if n else np.maximum(idx, 1.0)) ** gamma
+        prod = np.multiply(powers[:block], t ** n, out=products[:block])
+        block_sum = float(np.multiply(coeffs, prod, out=prod).sum())
+        # A non-finite a_n makes the sum nan or inf, since each t^n lies in [0, 1].
+        if not math.isfinite(block_sum) and not np.all(np.isfinite(coeffs)):
             raise DomainError(f"non-finite coefficient near n={n}")
-        block_sum = float(np.sum(coeffs * (powers[:block] * t ** n)))
+        if b == len(kept) and n + block - seq.start_index <= _KEPT_TERMS:
+            coeffs = coeffs.copy() if gamma == 0.0 else coeffs  # term_block's own array at gamma = 0
+            coeffs.flags.writeable = False
+            kept.append(coeffs)
         s = total + block_sum
         if abs(total) >= abs(block_sum):
             comp += (total - s) + block_sum

@@ -32,6 +32,7 @@ from eulersum.harness import (
     write_rows,
 )
 from eulersum.oscillator import MehlerPoint, mehler_kernel, mehler_series, osc_action, osc_h_kernel
+from eulersum.resummation import _BLOCK_MIN, DEFAULT_TERM_BUDGET
 from eulersum.square_well import WellKernelPoint, d_kernel, h_kernel, k_kernel, well_action
 
 REPO = Path(__file__).resolve().parent.parent
@@ -501,13 +502,33 @@ def test_schedule_reaching_t_one_is_a_usage_error(tmp_path, monkeypatch, argv, c
     assert not out.exists()
 
 
+def test_zeta_ratio_whose_budget_ends_at_t_0_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    # t_0 = 0 sums one 128-term block, and euler_limit stops before a point
+    # that would need more than terms_used / r > DEFAULT_TERM_BUDGET terms
+    made = counting_abel_eval(monkeypatch)
+    out = tmp_path / "z.csv"
+    assert main(["zeta", "--s", "-1", "--t-ratio", "1e-10", "--output", str(out)]) == 1
+    assert capsys.readouterr().err == ("error: t-ratio 1e-10 is below 128/20000000: "
+                                       "the term budget would end the schedule at t_0 = 0\n")
+    assert not made and not out.exists()
+    # the threshold is the budget break's own: 128 / r > DEFAULT_TERM_BUDGET
+    edge = _BLOCK_MIN / DEFAULT_TERM_BUDGET
+    assert RunConfig(subcommand="zeta", t_ratio=edge).t_ratio == edge
+    with pytest.raises(InvalidConfig):
+        RunConfig(subcommand="zeta", t_ratio=math.nextafter(edge, 0.0))
+    # the walked subcommands have no such break
+    assert RunConfig(subcommand="well-delta", t_ratio=1e-10, k_max=1).t_ratio == 1e-10
+
+
 def test_schedule_limit_is_where_t_rounds_to_one(tmp_path, capsys):
     # 1 - 2^-53 is the largest double below 1; 1 - 2^-54 rounds to 1
     assert RunConfig(subcommand="well-delta", k_max=53).k_max == 53
     with pytest.raises(InvalidConfig):
         RunConfig(subcommand="well-delta", k_max=54)
-    assert RunConfig(subcommand="zeta", t_ratio=2.0 ** -53).t_ratio == 2.0 ** -53
-    with pytest.raises(InvalidConfig):
+    # zeta's t_1 = 1 - r rounds to 1 from r = 2^-54; the term budget refuses r = 2^-53 already
+    with pytest.raises(InvalidConfig, match="below 128/20000000"):
+        RunConfig(subcommand="zeta", t_ratio=2.0 ** -53)
+    with pytest.raises(InvalidConfig, match="1.0 in double precision"):
         RunConfig(subcommand="zeta", t_ratio=2.0 ** -54)
     # zeta's k-max is a ceiling: euler_limit stops before t rounds to 1
     out = tmp_path / "z.csv"

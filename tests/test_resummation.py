@@ -1,5 +1,6 @@
 """Abel evaluation and Euler-limit extraction against brute-force oracles."""
 
+import dataclasses
 import math
 import re
 import sys
@@ -15,6 +16,7 @@ from eulersum.oscillator import osc_action_coefficients
 from eulersum.resummation import (
     _BLOCK_MAX,
     _BLOCK_MIN,
+    _KEPT_TERMS,
     DEFAULT_TERM_BUDGET,
     CoefficientSequence,
     EulerLimitConfig,
@@ -217,6 +219,13 @@ def test_term_budget_ends_the_schedule_unconverged():
     terms = [e.terms_used for e in res.evaluations]
     assert len(terms) == 6
     assert terms[-2] / 0.1 <= DEFAULT_TERM_BUDGET < terms[-1] / 0.1
+
+
+def test_term_budget_break_after_t_0_is_unconverged():
+    # t_0 = 0 sums one _BLOCK_MIN block, and _BLOCK_MIN / 1e-10 terms are past the budget
+    res = euler_limit(alternating_sequence(-1.0), EulerLimitConfig(ratio=1e-10))
+    assert not res.converged and res.error_estimate == math.inf
+    assert [(e.t, e.terms_used) for e in res.evaluations] == [(0.0, _BLOCK_MIN)]
 
 
 def test_saturated_schedule_never_evaluates_t_one(monkeypatch):
@@ -448,6 +457,85 @@ def test_start_index_zero_takes_b0_as_a0(gamma, power_sum):
     # the bound covers n >= 1 only: b_0 does not move the truncation
     ones = abel_eval(CoefficientSequence(np.ones_like, growth_hint=gamma, bound=1.0), 0.5, 1e-13)
     assert (ev.terms_used, ev.tail_bound) == (ones.terms_used, ones.tail_bound)
+
+
+# --- the kept coefficient blocks -------------------------------------------------
+
+
+def fresh(seq):
+    """The same series as ``seq``, with nothing kept."""
+    return CoefficientSequence(seq.term_block, seq.growth_hint, seq.bound, seq.start_index)
+
+
+def cosines_from_zero(gamma):
+    # b_n = cos(n) from n = 0, written into one buffer that every call reuses
+    buffer = np.empty(_BLOCK_MAX)
+
+    def term_block(n):
+        return np.cos(n, out=buffer[:n.size])
+
+    return CoefficientSequence(term_block, growth_hint=gamma, bound=1.0)
+
+
+@given(seq=st.one_of(
+           st.floats(min_value=-3.5, max_value=3.0).filter(lambda s: s != 1.0).map(alternating_sequence),
+           st.floats(min_value=-3.0, max_value=3.0).map(plain_sequence),
+           st.builds(well_action_sequence, st.floats(min_value=1e-3, max_value=math.pi - 1e-3),
+                     st.integers(min_value=-1, max_value=2)),
+           st.sampled_from([0.0, -1.5, 2.0]).map(cosines_from_zero)),
+       ts=st.lists(st.floats(min_value=0.0, max_value=1.0 - 2.0 ** -14), min_size=2, max_size=5),
+       tol=st.floats(min_value=1e-12, max_value=1e-4))
+@settings(max_examples=60, deadline=None)
+@example(seq=alternating_sequence(-1.0), ts=[1.0 - 2.0 ** -14, 0.0, 0.5], tol=1e-10)
+@example(seq=cosines_from_zero(0.0), ts=[0.999, 0.5, 0.999], tol=1e-10)
+def test_kept_blocks_give_what_a_fresh_sequence_gives(seq, ts, tol):
+    for t in ts:
+        ev, new = abel_eval(seq, t, tol), abel_eval(fresh(seq), t, tol)
+        assert (ev.value.hex(), ev.terms_used, ev.tail_bound) == (new.value.hex(), new.terms_used, new.tail_bound)
+
+
+def test_one_limit_makes_each_kept_coefficient_once():
+    made = np.zeros(DEFAULT_TERM_BUDGET // 32, dtype=np.int64)
+
+    def recording(n):
+        np.add.at(made, n.astype(np.int64), 1)
+        return base.term_block(n)
+
+    base = alternating_sequence(-1.0)
+    seq = dataclasses.replace(base, term_block=recording)
+    with pytest.raises(NoEulerSum) as excinfo:  # its extrapolants stop contracting by k = 13
+        euler_limit(seq, EulerLimitConfig(tolerance=1e-12, k_max=13))
+    kept = sum(block.size for block in seq._kept)
+    assert max(e.terms_used for e in excinfo.value.evaluations) > kept
+    assert np.all(made[1:1 + kept] == 1) and made[0] == 0
+    assert np.max(made[1 + kept:]) > 1  # past the kept prefix each evaluation makes its own
+
+
+def test_kept_blocks_stay_within_the_kept_terms():
+    seq = alternating_sequence(-1.0)
+    assert abel_eval(seq, 1.0 - 2.0 ** -16, 1e-10).terms_used > 10 ** 6
+    assert _KEPT_TERMS - _BLOCK_MAX < sum(block.size for block in seq._kept) <= _KEPT_TERMS
+
+
+def test_a_non_finite_coefficient_raises_on_every_call():
+    # +inf at n = 100 gives a nan product even where t^n is 0
+    seq = CoefficientSequence(lambda n: np.where(n == 100, np.inf, 1.0), growth_hint=0.0, bound=1.0)
+    for t in (0.9, 0.9, 0.0, 1e-4):
+        with pytest.raises(DomainError, match=r"^non-finite coefficient near n=0$"):
+            abel_eval(seq, t, 1e-10)
+    assert seq._kept == []
+
+
+def test_kept_blocks_are_read_only_and_not_part_of_the_sequence():
+    seq = alternating_sequence(-1.0)
+    twin = dataclasses.replace(seq)
+    abel_eval(seq, 0.99, 1e-10)
+    assert seq._kept and not any(block.flags.writeable for block in seq._kept)
+    with pytest.raises(ValueError):
+        seq._kept[0][0] = 0.0
+    assert dataclasses.replace(seq, term_block=seq.term_block)._kept == []
+    assert seq == twin and hash(seq) == hash(twin) and twin._kept == []
+    assert "_kept" not in repr(seq)
 
 
 # --- the steady-growth exit ----------------------------------------------------

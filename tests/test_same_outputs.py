@@ -90,7 +90,6 @@ def test_main_prints_the_counts_and_fails_on_any_difference(monkeypatch, capsys,
 EDGE_EXITS = [
     ("verdict=unconverged", 3),  # 2 deltas, too few to judge
     ("verdict=unconverged", 7),  # 6 deltas, still contracting
-    ("error_estimate=inf verdict=unconverged", 1),  # budget break after t_0
     ("verdict=unconverged", 6),  # budget break after six points
     ("exceeds 1/tolerance", 3),
     ("extrapolants failed to contract", 19),
