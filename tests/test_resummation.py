@@ -495,7 +495,7 @@ def test_kept_blocks_give_what_a_fresh_sequence_gives(seq, ts, tol):
 
 
 def test_one_limit_makes_each_kept_coefficient_once():
-    made = np.zeros(DEFAULT_TERM_BUDGET // 32, dtype=np.int64)
+    made = np.zeros(2 ** 19, dtype=np.int64)  # times each index n was made
 
     def recording(n):
         np.add.at(made, n.astype(np.int64), 1)
