@@ -15,15 +15,15 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import io
 import json
 import math
+import re
 import sys
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import repeat
-from operator import itemgetter
+from itertools import chain, islice, repeat
+from operator import eq, itemgetter
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -178,6 +178,8 @@ class SweepRow(NamedTuple):
 
 
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# Rows per chunk of write_rows and read_rows: a file costs its rows plus one chunk's cells and text.
+_CHUNK = 4096
 
 
 def _format_column(name: str, col, none: str) -> list:
@@ -187,58 +189,108 @@ def _format_column(name: str, col, none: str) -> list:
     values.  Below ~64 cells numpy's fixed cost exceeds the saving."""
     if name == "k":
         return list(map(str, col))
-    if len(col) < 64 or None in col:
+    nones = col.count(None)
+    if nones == len(col):  # sweep's reference and abs_error
+        return [none] * nones
+    if nones or len(col) < 64:
         return [none if v is None else repr(float(v)) for v in col]
     bits, where = np.unique(np.fromiter(col, np.float64, len(col)).view(np.int64), return_inverse=True)
     return np.array(list(map(float.__repr__, bits.view(np.float64).tolist())), dtype=object)[where].tolist()
 
 
 def write_rows(path: str, rows: list, output_format: str, row_type=ResultRow) -> None:
-    """Serialise rows column by column; float cells use repr so parsing
-    round-trips exactly.  JSON output equals json.dumps(indent=2,
+    """Serialise rows column by column, _CHUNK at a time; float cells use repr
+    so parsing round-trips exactly.  JSON output equals json.dumps(indent=2,
     sort_keys=True) of {"rows": [...]}; with no rows, of {"columns":
     [row_type's fields], "rows": []}, so every file names its columns."""
     names = (rows[0] if rows else row_type)._fields
-    cols = zip(*rows)
-    if output_format == "csv":
-        cells = [_format_column(n, c, "") for n, c in zip(names, cols)]
-        lines = [",".join(names), *map(",".join, zip(*cells))]
-    else:
-        by_name = sorted(zip(names, cols))
-        cells = [_format_column(n, c, "null") for n, c in by_name]
-        cells = [list(map(_JSON_NON_FINITE.get, c, c)) for c in cells]
-        template = "    {\n" + ",\n".join(f'      "{n}": %s' for n, _ in by_name) + "\n    }"
-        body = ",\n".join(map(template.__mod__, zip(*cells)))
-        lines = (["{", '  "rows": [', body, "  ]", "}"] if rows else
-                 json.dumps({"columns": names, "rows": []}, indent=2, sort_keys=True).splitlines())
-    Path(path).write_text("\n".join([*lines, ""]), encoding="utf-8")
+    head, tail = (",".join(names) + "\n", "") if output_format == "csv" else ('{\n  "rows": [\n', "\n  ]\n}\n")
+    if output_format != "csv" and not rows:
+        head, tail = json.dumps({"columns": names, "rows": []}, indent=2, sort_keys=True) + "\n", ""
+    template = "    {\n" + ",\n".join(f'      "{n}": %s' for n in sorted(names)) + "\n    }"
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(head)
+        for i in range(0, len(rows), _CHUNK):
+            cols = dict(zip(names, zip(*rows[i:i + _CHUNK])))
+            if output_format == "csv":
+                f.write("\n".join(map(",".join, zip(*map(_format_column, names, cols.values(), repeat(""))))) + "\n")
+            else:
+                cells = [_format_column(n, cols[n], "null") for n in sorted(names)]
+                lines = map(template.__mod__, zip(*(map(_JSON_NON_FINITE.get, c, c) for c in cells)))
+                f.write(",\n" * (i > 0) + ",\n".join(lines))
+        f.write(tail)
 
 
 def _parse_column(name: str, col, none) -> list:
     if name == "k":
         return list(map(int, col))
+    if none == "" and len(col) >= 64:  # each distinct CSV text once (JSON's -0.0 == 0.0 rules a table out)
+        floats = {v: None if v == none else float(v) for v in set(col)}
+        return list(map(floats.__getitem__, col))
     try:
         return list(map(float, col))
     except (TypeError, ValueError):  # empty cells
         return [None if v == none else float(v) for v in col]
 
 
+# read_rows reads JSON text this many characters at a time.
+_JSON_BLOCK = 1 << 16
+_JSON_ROWS = re.compile(r'"rows"\s*:\s*\[')
+_JSON = json.JSONDecoder()
+
+
+def _json_rows(f):
+    """Yield the rows of a JSON result file, as lists of dicts, without
+    holding its text whole: the rows read so far, up to the last "},", are
+    parsed as one array at a time.  What precedes and follows the rows array
+    must parse as an object whose "rows" is []."""
+    text, pieces = f.read(_JSON_BLOCK), 0
+    while not (start := _JSON_ROWS.search(text)) and (more := f.read(_JSON_BLOCK)):
+        text += more
+    if not start:
+        raise ValueError('no "rows" array in the JSON text')
+    head, text = text[:start.end() - 1], text[start.end():]
+    while more := f.read(_JSON_BLOCK):
+        text += more
+        try:
+            cut = text.rindex("},") + 1
+            rows = _JSON.decode("[" + text[:cut] + "]")
+        except ValueError:  # no "}," yet, or one that ends no row: read on
+            continue
+        text, pieces = text[cut + 1:], pieces + 1
+        yield rows
+    last, end = _JSON.raw_decode("[" + text)
+    if (pieces and not last) or json.loads(head + "[]" + text[end - 1:]).get("rows") != []:
+        raise json.JSONDecodeError("not one object with one rows array of rows", head + text, 0)
+    yield last
+
+
 def read_rows(path: str) -> list:
-    """Parse a result file back into ResultRow/SweepRow objects."""
-    text = Path(path).read_text(encoding="utf-8")
-    if text.lstrip().startswith("{"):
-        recs = json.loads(text)["rows"]
-        names = list(recs[0]) if recs else ()
-        records, none = (list(map(itemgetter(*names), recs)) if recs else []), None
-    else:
-        reader = csv.reader(io.StringIO(text))
-        names, records, none = next(reader, ()), list(reader), ""
-    if not records:
-        return []
-    cls = SweepRow if "x" in names else ResultRow
-    cols = dict(zip(names, zip(*records)))
-    columns = (_parse_column(n, cols.get(n, (none,) * len(records)), none) for n in cls._fields)
-    return list(map(tuple.__new__, repeat(cls), zip(*columns)))  # cls._make without its checks
+    """Parse a result file back into ResultRow/SweepRow objects, _CHUNK
+    rows at a time.  A CSV line with more or fewer cells than its header,
+    or a JSON row whose keys are not the first row's (in any order), raises
+    ValueError naming the row."""
+    with open(path, encoding="utf-8") as f:
+        if f.buffer.peek().lstrip().startswith(b"{"):
+            records, names, none = chain.from_iterable(_json_rows(f)), (), None
+        else:
+            records, none = csv.reader(f), ""
+            names = next(records, ())
+        rows = []
+        for chunk in iter(lambda: list(islice(records, _CHUNK)), []):
+            if none is None:  # JSON rows, as tuples in the first row's key order; () if the keys differ
+                names = names or tuple(chunk[0])
+                get, keys = itemgetter(*names), set(names)
+                same = all(map(eq, map(dict.keys, chunk), repeat(keys)))
+                chunk = list(map(get, chunk)) if same else [get(r) if r.keys() == keys else () for r in chunk]
+            cls = SweepRow if "x" in names else ResultRow
+            if set(map(len, chunk)) != {len(names)}:
+                n = next(n for n, r in enumerate(chunk, len(rows) + 1) if len(r) != len(names))
+                raise ValueError(f"row {n} of {path} does not have the columns {', '.join(names)}")
+            cols = dict(zip(names, zip(*chunk)))
+            columns = (_parse_column(n, cols.get(n, (none,) * len(chunk)), none) for n in cls._fields)
+            rows += map(tuple.__new__, repeat(cls), zip(*columns))  # cls._make without its checks
+    return rows
 
 
 def _row(k: int, t: float, value: float, reference: Optional[float], wall_ms: float) -> ResultRow:
@@ -422,7 +474,7 @@ def _sweep_grid(config: RunConfig):
 
 def _run_sweep(config: RunConfig):
     rows = sweep(config, _sweep_grid(config))
-    return rows, max(abs(r.value) for r in rows), None, "ok"
+    return rows, max(map(abs, map(itemgetter(2), rows))), None, "ok"
 
 
 # Each subcommand's runner, default k_max, parameters with their defaults

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from eulersum.harness import read_rows
+from eulersum.harness import SweepRow, read_rows, write_rows
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 import same_outputs  # noqa: E402
@@ -26,7 +26,24 @@ def test_an_outcome_masks_the_output_path_and_ignores_wall_time(tmp_path):
 
 def test_an_outcome_keeps_a_failed_run_and_its_missing_rows(tmp_path):
     got = same_outputs.outcome(["zeta", "--s", "nan"], tmp_path / "z.csv")
-    assert got == {"exit": 1, "summary": "", "rows": "unreadable: FileNotFoundError"}
+    assert got == {"exit": 1, "summary": "", "rows": "unreadable: FileNotFoundError",
+                   "text": "unreadable: FileNotFoundError"}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_the_text_digest_masks_wall_time_and_sees_other_bytes(tmp_path, fmt):
+    rows = [SweepRow(k=0, t=0.0, value=-0.0, wall_time_ms=0.25, x=1.0, y=2.0),
+            SweepRow(k=1, t=0.5, value=1.5, wall_time_ms=3.0, x=1.0, y=2.0)]
+    first, timed, crlf = (tmp_path / f"{name}.{fmt}" for name in ("first", "timed", "crlf"))
+    write_rows(str(first), rows, fmt)
+    write_rows(str(timed), [r._replace(wall_time_ms=r.wall_time_ms * 7) for r in rows], fmt)
+    crlf.write_bytes(first.read_bytes().replace(b"\n", b"\r\n"))
+    assert timed.read_text() != first.read_text()
+    assert same_outputs.text_digest(timed) == same_outputs.text_digest(first)
+    assert read_rows(str(crlf)) == read_rows(str(first))  # the rows cannot tell these two apart
+    assert same_outputs.text_digest(crlf) != same_outputs.text_digest(first)
+    write_rows(str(timed), [rows[0], rows[1]._replace(y=2.5)], fmt)
+    assert same_outputs.text_digest(timed) != same_outputs.text_digest(first)
 
 
 def test_a_tree_runs_its_ops_in_a_process_of_its_own():

@@ -8,10 +8,11 @@ Builds the decks of every workload at seeds 1-10 with this checkout's
 extracts REV with ``bench_record.archive``.  Each tree runs all the ops in
 one process of its own, importing eulersum from its own ``src/``, one tree
 after the other.  For each op it compares the exit status, the summary
-line with the output path masked, and the rows read back with every column
-but ``wall_time_ms``.  Prints the op count per workload (and of the edge
-ops) and each op that differs, and exits 1 on any difference.  Standard
-library only.
+line with the output path masked, the rows read back with every column but
+``wall_time_ms``, and the result file's text with its ``wall_time_ms``
+cells masked, so that changed bytes which read back the same are seen too.
+Prints the op count per workload (and of the edge ops) and each op that
+differs, and exits 1 on any difference.  Standard library only.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import importlib.util
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -65,9 +67,24 @@ def decks() -> dict:
     return {(w, seed): [list(op.argv) for op in deck.build(w, seed)] for w in WORKLOADS for seed in SEEDS}
 
 
+def text_digest(path: Path) -> str:
+    """A digest of a result file's text with each wall_time_ms cell masked:
+    in JSON the value after the key, in CSV the cell under the header's
+    name."""
+    text = path.read_bytes().decode("utf-8")  # line ends as written
+    if text.lstrip().startswith("{"):
+        text = re.sub(r'("wall_time_ms": )[^,\r\n]*', r"\1*", text)
+    else:
+        head, _, body = text.partition("\n")
+        col = head.rstrip("\r").split(",").index("wall_time_ms")
+        text = head + "\n" + re.sub(rf"(?m)^((?:[^,\n]*,){{{col}}})[^,\r\n]*", r"\1*", body)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def outcome(argv: list, out: Path) -> dict:
     """One op's exit status (or the exception main raised), its stdout with
-    the output path masked, and a digest of its rows without wall_time_ms."""
+    the output path masked, and digests of its rows without wall_time_ms and
+    of its file's text with wall_time_ms masked."""
     from eulersum.harness import main, read_rows
 
     out.unlink(missing_ok=True)
@@ -82,7 +99,12 @@ def outcome(argv: list, out: Path) -> dict:
         digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
     except Exception as exc:
         digest = f"unreadable: {type(exc).__name__}"
-    return {"exit": status, "summary": stdout.getvalue().strip().replace(str(out), "OUT"), "rows": digest}
+    try:
+        text = text_digest(out)
+    except Exception as exc:
+        text = f"unreadable: {type(exc).__name__}"
+    return {"exit": status, "summary": stdout.getvalue().strip().replace(str(out), "OUT"), "rows": digest,
+            "text": text}
 
 
 def worker() -> None:
