@@ -12,8 +12,8 @@ __version__ = "0.1.0"
 # Each module and the public names it exports.
 _EXPORTS = {
     "errors": ("BoundaryAmbiguous", "DomainError", "EulerSumError", "InvalidConfig", "NoEulerSum",
-               "NOverflow", "QuadratureNotConverged", "TailNotBounded", "TestFunctionBoundary",
-               "TNotInUnitInterval", "TruncationInsufficient"),
+               "NOverflow", "PrecisionFloor", "QuadratureNotConverged", "TailNotBounded",
+               "TestFunctionBoundary", "TNotInUnitInterval", "TruncationInsufficient"),
     "harness": ("ResultRow", "RunConfig", "SweepRow", "main", "read_rows", "run", "sweep", "write_rows"),
     "oscillator": ("MehlerPoint", "mehler_kernel", "mehler_series", "osc_action", "osc_h_kernel",
                    "phi_osc", "symmetrized_exponent"),

@@ -35,6 +35,10 @@ class NoEulerSum(EulerSumError, ArithmeticError):
     """The t -> 1 limit does not exist or cannot be extracted numerically."""
 
 
+class PrecisionFloor(EulerSumError, ArithmeticError):
+    """The t -> 1 limit stopped contracting at a roundoff floor above the tolerance."""
+
+
 class DomainError(EulerSumError, ValueError):
     """An argument lies outside the mathematical domain of the operation."""
 

@@ -17,6 +17,7 @@ import contextlib
 import csv
 import json
 import math
+import os
 import re
 import sys
 import time
@@ -202,23 +203,36 @@ def write_rows(path: str, rows: list, output_format: str, row_type=ResultRow) ->
     """Serialise rows column by column, _CHUNK at a time; float cells use repr
     so parsing round-trips exactly.  JSON output equals json.dumps(indent=2,
     sort_keys=True) of {"rows": [...]}; with no rows, of {"columns":
-    [row_type's fields], "rows": []}, so every file names its columns."""
+    [row_type's fields], "rows": []}, so every file names its columns.  A failed
+    write leaves no new file and an old one whole; links, devices and pipes are written in place."""
     names = (rows[0] if rows else row_type)._fields
     head, tail = (",".join(names) + "\n", "") if output_format == "csv" else ('{\n  "rows": [\n', "\n  ]\n}\n")
     if output_format != "csv" and not rows:
         head, tail = json.dumps({"columns": names, "rows": []}, indent=2, sort_keys=True) + "\n", ""
     template = "    {\n" + ",\n".join(f'      "{n}": %s' for n in sorted(names)) + "\n    }"
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(head)
-        for i in range(0, len(rows), _CHUNK):
-            cols = dict(zip(names, zip(*rows[i:i + _CHUNK])))
-            if output_format == "csv":
-                f.write("\n".join(map(",".join, zip(*map(_format_column, names, cols.values(), repeat(""))))) + "\n")
-            else:
-                cells = [_format_column(n, cols[n], "null") for n in sorted(names)]
-                lines = map(template.__mod__, zip(*(map(_JSON_NON_FINITE.get, c, c) for c in cells)))
-                f.write(",\n" * (i > 0) + ",\n".join(lines))
-        f.write(tail)
+    regular = os.path.isfile(path) and not os.path.islink(path)  # replaced by a whole temporary twin
+    target = f"{path}.{os.urandom(6).hex()}.tmp" if regular else path
+    fresh = regular or not os.path.lexists(path)  # created here, so removed if the write fails
+    f = open(target, "x" if fresh else "w", encoding="utf-8")
+    try:
+        with f:
+            f.write(head)
+            for i in range(0, len(rows), _CHUNK):
+                cols = dict(zip(names, zip(*rows[i:i + _CHUNK])))
+                if output_format == "csv":
+                    cells = map(_format_column, names, cols.values(), repeat(""))
+                    f.write("\n".join(map(",".join, zip(*cells))) + "\n")
+                else:
+                    cells = [_format_column(n, cols[n], "null") for n in sorted(names)]
+                    lines = map(template.__mod__, zip(*(map(_JSON_NON_FINITE.get, c, c) for c in cells)))
+                    f.write(",\n" * (i > 0) + ",\n".join(lines))
+            f.write(tail)
+        if regular:
+            os.replace(target, path)
+    except BaseException:
+        if fresh:
+            os.remove(target)
+        raise
 
 
 def _parse_column(name: str, col, none) -> list:

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, EulerSumError, InvalidConfig, NoEulerSum, TailNotBounded, check_t
+from .errors import DomainError, EulerSumError, InvalidConfig, NoEulerSum, PrecisionFloor, TailNotBounded, check_t
 
 # abel_eval sums vectorised blocks, from _BLOCK_MIN terms doubling to
 # _BLOCK_MAX, until a block end passes the prefix N that _certified_terms
@@ -90,13 +90,14 @@ class CoefficientSequence:
 
 @dataclass(frozen=True)
 class AbelEvaluation:
-    """Value of f(t) = sum(a_n t^n), its truncation certificate and wall time."""
+    """Value of f(t) = sum(a_n t^n), its truncation certificate, wall time and roundoff bound (or None)."""
 
     t: float
     value: float
     terms_used: int
     tail_bound: float
     wall_ms: float
+    roundoff_bound: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -224,6 +225,7 @@ def _certified_terms(c: float, gamma: float, t: float, tol: float) -> int:
 def abel_eval(seq: CoefficientSequence, t: float, tol: float) -> AbelEvaluation:
     """Evaluate f(t) = sum(a_n t^n) for t in [0, 1) in blocks up to the
     first block end past N = _certified_terms(seq.bound, growth hint, t, tol).
+    Its roundoff_bound is eps * sum(|a_n t^n|), gradual underflow aside.
 
     TailNotBounded is raised before any block is summed when n <= N holds
     more than DEFAULT_TERM_BUDGET terms, and when the coefficients
@@ -238,8 +240,7 @@ def abel_eval(seq: CoefficientSequence, t: float, tol: float) -> AbelEvaluation:
     if last - seq.start_index >= DEFAULT_TERM_BUDGET:  # with a_0 the prefix is one term longer
         raise _over_budget(tol, t)
 
-    total = 0.0
-    comp = 0.0  # Neumaier compensation
+    total = comp = magnitude = 0.0  # comp: Neumaier compensation; magnitude: sum(|a_n| t^n)
     n = seq.start_index
     block_size = _BLOCK_MIN
     powers = np.power(t, np.arange(_BLOCK_MIN, dtype=np.float64))  # powers[j] = t^j
@@ -264,6 +265,7 @@ def abel_eval(seq: CoefficientSequence, t: float, tol: float) -> AbelEvaluation:
                 )
             coeffs = normed if gamma == 0.0 else normed * (idx if n else np.maximum(idx, 1.0)) ** gamma
         prod = np.multiply(powers[:block], t ** n, out=products[:block])
+        magnitude += float(np.dot(np.abs(coeffs), prod))  # reads t^n only: the value's arithmetic is unchanged
         block_sum = float(np.multiply(coeffs, prod, out=prod).sum())
         # A non-finite a_n makes the sum nan or inf, since each t^n lies in [0, 1].
         if not math.isfinite(block_sum) and not np.all(np.isfinite(coeffs)):
@@ -282,7 +284,8 @@ def abel_eval(seq: CoefficientSequence, t: float, tol: float) -> AbelEvaluation:
         if n > last:
             return AbelEvaluation(t=t, value=total + comp, terms_used=n - seq.start_index,
                                   tail_bound=_certified_tail(seq.bound, gamma, n, t),
-                                  wall_ms=(time.perf_counter() - start) * 1e3)
+                                  wall_ms=(time.perf_counter() - start) * 1e3,
+                                  roundoff_bound=sys.float_info.epsilon * magnitude)
 
 
 def _neville_at_zero(us: list, fs: list) -> float:
@@ -298,18 +301,20 @@ def _neville_at_zero(us: list, fs: list) -> float:
 def euler_limit(seq: CoefficientSequence, cfg: Optional[EulerLimitConfig] = None) -> EulerLimitResult:
     """Extract lim_{t->1-} f(t) by polynomial extrapolation in u = 1 - t.
 
-    Walks the schedule t_k = 1 - ratio^k, extrapolating through the most
-    recent _EXTRAPOLATION_ORDER points after each evaluation, and stops
-    as soon as the last two extrapolants differ by at most ``tolerance``.
+    Walks t_k = 1 - ratio^k, extrapolating through the last _EXTRAPOLATION_ORDER
+    points after each evaluation, and stops once the last two extrapolants differ
+    by at most ``tolerance``.  Right after that test fails it raises PrecisionFloor
+    if the last difference has not contracted and is within the roundoff floor
+    sum_j |w_j| roundoff_bound_j, w_j being the window's Lagrange weights at u = 0.
 
-    Raises NoEulerSum when the limit demonstrably fails to exist or
-    cannot be extracted: |f(t_k)| exceeds 1/tolerance; the differences of
-    the last five f(t_k) grow steadily, by ratios all above 1.05 and within
-    5 % of each other, as for f ~ A u^-alpha (the message gives
-    alpha = log(last ratio) / log(1/ratio)); the extrapolants more than
-    double in magnitude three times in a row; or the schedule ends after at
-    least four extrapolant differences that no longer contract.  With fewer
-    the result is unconverged (error estimate inf if there are none).  That
+    Raises NoEulerSum when no limit exists or the schedule cannot reach
+    it: |f(t_k)| exceeds 1/tolerance; the differences of the last five
+    f(t_k) grow steadily, by ratios all above 1.05 and within 5 % of each
+    other, as for f ~ A u^-alpha (the message gives alpha = log(last
+    ratio) / log(1/ratio)); the extrapolants more than double in magnitude
+    three times in a row; or the schedule ends after at least four
+    extrapolant differences that no longer contract.  With fewer the
+    result is unconverged (error estimate inf if there are none).  Each
     exception, and any EulerSumError raised by abel_eval, carries the
     evaluations made so far as ``evaluations``.
     """
@@ -340,11 +345,18 @@ def euler_limit(seq: CoefficientSequence, cfg: Optional[EulerLimitConfig] = None
             )
 
         w = min(_EXTRAPOLATION_ORDER, k + 1)
-        p = _neville_at_zero([cfg.ratio ** j for j in range(k + 1 - w, k + 1)], [e.value for e in evaluations[-w:]])
+        us = [cfg.ratio ** j for j in range(k + 1 - w, k + 1)]
+        p = _neville_at_zero(us, [e.value for e in evaluations[-w:]])
         extrapolants.append(p)
         d = abs(p - extrapolants[-2]) if k else math.inf
         if d <= cfg.tolerance:
             return EulerLimitResult(value=p, error_estimate=d, converged=True, evaluations=evaluations)
+        if k >= 2 and abs(extrapolants[-2] - extrapolants[-3]) <= d:  # no longer contracting
+            floor = sum(abs(math.prod(ui / (ui - uj) for ui in us if ui != uj)) * e.roundoff_bound
+                        for uj, e in zip(us, evaluations[-w:]))
+            if d <= floor:
+                raise PrecisionFloor(f"extrapolants stopped contracting at delta {d:.3e} within their "
+                                     f"roundoff floor {floor:.3e} at t={t_k!r}", evaluations)
         f = [e.value for e in evaluations[-5:]]
         diffs = [b - a for a, b in zip(f, f[1:])]
         rho = [b / a for a, b in zip(diffs, diffs[1:])] if len(diffs) == 4 and all(diffs) else [0.0]

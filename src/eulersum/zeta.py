@@ -85,7 +85,7 @@ def zeta_euler(s: float, cfg: Optional[EulerLimitConfig] = None) -> EulerLimitRe
 
     Works for all s where the extrapolation converges; for sufficiently
     negative s the Abel evaluations are swamped by cancellation noise and
-    NoEulerSum propagates instead of a silently wrong value.
+    PrecisionFloor propagates instead of a silently wrong value.
     """
     return euler_limit(alternating_sequence(s), cfg)
 

@@ -422,15 +422,20 @@ def test_tail_not_bounded_keeps_the_rows_made(tmp_path, monkeypatch, capsys):
     assert all(r.reference == 0.0 and r.abs_error == abs(r.value) for r in rows)
 
 
-def test_precision_limited_zeta_stops_where_its_term_budget_runs_out(tmp_path, monkeypatch, capsys):
+def test_zeta_stops_where_its_term_budget_runs_out(tmp_path, monkeypatch, capsys):
+    # no zeta series reaches the budget mid-schedule any more (the roundoff
+    # floor stops the alternating one first), so the run sums
+    # t/1 + t^2/2 + ... = -ln(1 - t), which no growth rule stops
     made = counting_abel_eval(monkeypatch)
+    seq = eulersum.resummation.CoefficientSequence(lambda n: 1.0 / n, growth_hint=0.0, bound=1.0, start_index=1)
+    monkeypatch.setattr(eulersum.harness, "alternating_sequence", lambda s: seq)
     out = tmp_path / "z.csv"
-    assert main(["zeta", "--s", "-2", "--tol", "1e-12", "--output", str(out)]) == 2
-    # the 19th point, t = 1 - 2^-18, cannot be certified within the budget
+    assert main(["zeta", "--s", "0", "--tol", "1e-9", "--output", str(out)]) == 2
+    # the 20th point, t = 1 - 2^-19, cannot be certified within the budget
     assert capsys.readouterr().out == (
-        "[zeta] verdict=TailNotBounded detail=tail not certified below tol=1e-14 within 20000000 terms "
-        f"at t={1.0 - 2.0 ** -18!r} file={out}\n")
-    assert len(made) == len(read_rows(str(out))) == 18
+        f"[zeta] verdict=TailNotBounded detail=tail not certified below tol={1e-9 / 100!r} within 20000000 "
+        f"terms at t={1.0 - 2.0 ** -19!r} file={out}\n")
+    assert len(made) == len(read_rows(str(out))) == 19
 
 
 @pytest.mark.parametrize(
@@ -755,6 +760,36 @@ def test_sweep_rows_round_trip(tmp_path, fmt):
     path = tmp_path / f"sweep.{fmt}"
     write_rows(str(path), rows, fmt)
     assert read_rows(str(path)) == rows
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_failed_write_leaves_the_old_file_whole(tmp_path, fmt):
+    path = tmp_path / f"rows.{fmt}"
+    write_rows(str(path), boundary_rows(3), fmt)
+    old = path.read_bytes()
+    rows = boundary_rows(5000)
+    rows[4500] = rows[4500]._replace(value="abc")  # a cell of the second chunk cannot be formatted
+    with pytest.raises(ValueError):
+        write_rows(str(path), rows, fmt)
+    assert path.read_bytes() == old
+    assert os.listdir(tmp_path) == [path.name]  # no temporary file left behind
+    with pytest.raises(ValueError):
+        write_rows(str(tmp_path / f"new.{fmt}"), rows, fmt)
+    assert os.listdir(tmp_path) == [path.name]  # nor a part of a new file
+
+
+def test_rows_are_written_through_a_symlink_and_into_a_pipe(tmp_path):
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_text("old\n")
+    link.symlink_to(target)
+    write_rows(str(link), boundary_rows(2), "csv")
+    assert link.is_symlink() and len(read_rows(str(target))) == 2
+    assert sorted(os.listdir(tmp_path)) == ["link.csv", "target.csv"]
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    reader = subprocess.Popen(["cat", str(fifo)], stdout=subprocess.PIPE, text=True)
+    write_rows(str(fifo), boundary_rows(2), "csv")
+    assert reader.communicate(timeout=10)[0].count("\n") == 3  # header and two rows
 
 
 def first_difference(text, expected):
@@ -1260,7 +1295,7 @@ def test_cli_strict_deep_negative_s(tmp_path):
     out = tmp_path / "z.csv"
     proc = cli("zeta", "--s", "-5", "--output", str(out))
     assert proc.returncode == 2
-    assert "NoEulerSum" in proc.stdout
+    assert "verdict=PrecisionFloor" in proc.stdout
 
 
 def test_cli_usage_errors():

@@ -199,10 +199,11 @@ def test_no_euler_sum_carries_partial_trace():
 
 
 def test_schedule_exhausted_while_contracting_is_unconverged():
-    # at ratio 0.999999 forty steps move t by 4e-5: the extrapolants still close in, far from tol
-    res = euler_limit(alternating_sequence(-1.0), EulerLimitConfig(ratio=0.999999, k_max=40))
-    assert not res.converged
-    assert len(res.evaluations) == 41
+    # sum n^-1.5 t^n approaches zeta(1.5) like u^(1/2), which no polynomial in u
+    # removes: the extrapolants close in by about 2^(-1/2) a step, far from tol at k = 12
+    res = euler_limit(plain_sequence(1.5), EulerLimitConfig(k_max=12))
+    assert not res.converged and 1e-3 < res.error_estimate < 1e-1
+    assert len(res.evaluations) == 13
 
 
 def test_value_beyond_one_over_tolerance_has_no_sum():
@@ -213,12 +214,25 @@ def test_value_beyond_one_over_tolerance_has_no_sum():
 
 
 def test_term_budget_ends_the_schedule_unconverged():
-    # each step at ratio 0.1 needs about ten times the terms of the last
-    res = euler_limit(alternating_sequence(-2.0), EulerLimitConfig(ratio=0.1, tolerance=1e-13))
+    # each step at ratio 0.1 needs about ten times the terms of the last;
+    # sum n^-1.5 t^n converges too slowly in u to settle first
+    res = euler_limit(plain_sequence(1.5), EulerLimitConfig(ratio=0.1))
     assert not res.converged
     terms = [e.terms_used for e in res.evaluations]
-    assert len(terms) == 6
+    assert len(terms) == 7
     assert terms[-2] / 0.1 <= DEFAULT_TERM_BUDGET < terms[-1] / 0.1
+
+
+def test_term_budget_runs_out_mid_schedule():
+    # sum t^n / n = -ln(1 - t) has no limit, but grows too slowly for any
+    # growth rule: the walk goes on until the prefix at t_19 = 1 - 2^-19
+    # (at tol 1e-9, inner tol 1e-11) would pass the budget, while t_18 needs
+    # under half of it
+    seq = CoefficientSequence(lambda n: 1.0 / n, growth_hint=0.0, bound=1.0, start_index=1)
+    with pytest.raises(TailNotBounded, match=re.escape(f"at t={1.0 - 2.0 ** -19!r}")) as excinfo:
+        euler_limit(seq, EulerLimitConfig(tolerance=1e-9))
+    evs = excinfo.value.evaluations
+    assert len(evs) == 19 and evs[-1].terms_used / 0.5 <= DEFAULT_TERM_BUDGET
 
 
 def test_term_budget_break_after_t_0_is_unconverged():
@@ -501,12 +515,12 @@ def test_one_limit_makes_each_kept_coefficient_once():
         np.add.at(made, n.astype(np.int64), 1)
         return base.term_block(n)
 
-    base = alternating_sequence(-1.0)
+    base = plain_sequence(1.5)
     seq = dataclasses.replace(base, term_block=recording)
-    with pytest.raises(NoEulerSum) as excinfo:  # its extrapolants stop contracting by k = 13
-        euler_limit(seq, EulerLimitConfig(tolerance=1e-12, k_max=13))
+    res = euler_limit(seq, EulerLimitConfig(tolerance=1e-12, k_max=14))  # still far from tol at k = 14
+    assert not res.converged
     kept = sum(block.size for block in seq._kept)
-    assert max(e.terms_used for e in excinfo.value.evaluations) > kept
+    assert max(e.terms_used for e in res.evaluations) > kept
     assert np.all(made[1:1 + kept] == 1) and made[0] == 0
     assert np.max(made[1 + kept:]) > 1  # past the kept prefix each evaluation makes its own
 

@@ -1,12 +1,17 @@
 """Zeta evaluations: direct summation vs Euler summation vs brute force."""
 
 import math
+import re
+import sys
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from eulersum.errors import DomainError, NoEulerSum
+from eulersum.errors import DomainError, NoEulerSum, PrecisionFloor
+from eulersum.resummation import EulerLimitConfig, _neville_at_zero, abel_eval
 from eulersum.zeta import (
     alternating_sequence,
     plain_sequence,
@@ -70,9 +75,98 @@ def test_zeta_euler_pole_rejected():
 
 def test_zeta_euler_fails_honestly_deep_in_the_left_half_line():
     # Abel values for s = -5 are swamped by cancellation noise; the limit
-    # extractor must refuse rather than return garbage.
-    with pytest.raises(NoEulerSum):
+    # extractor must refuse rather than return garbage, and say that the
+    # roundoff floor, not the series, stopped it.
+    with pytest.raises(PrecisionFloor):
         zeta_euler(-5.0)
+
+
+# The benchmark's precision-limited lattice s = -4.5 + 0.09 j, j < 16, as its
+# six-decimal CLI text reads, at tol 1e-8: the float.hex of the four values
+# that converge, as they did before the roundoff floor existed.  The other
+# twelve used to walk 12-16 points and up to 5.2 M terms into a false
+# NoEulerSum.
+LATTICE_CONVERGED = {-4.5: "-0x1.9544844b0efd9p-9", -3.33: "0x1.863f0af846665p-8",
+                     -3.24: "0x1.b70f6a54240a0p-8", -3.15: "0x1.e3da2d2fa2921p-8"}
+
+
+@pytest.mark.parametrize("j", range(16))
+def test_precision_limited_lattice_converges_as_before_or_stops_at_its_floor(j):
+    s = float(f"{-4.5 + 0.09 * j:.6f}")
+    cfg = EulerLimitConfig(tolerance=1e-8)
+    if s in LATTICE_CONVERGED:
+        res = zeta_euler(s, cfg)
+        assert res.converged and res.value.hex() == LATTICE_CONVERGED[s]
+        return
+    with pytest.raises(PrecisionFloor) as excinfo:
+        zeta_euler(s, cfg)
+    terms = [e.terms_used for e in excinfo.value.evaluations]
+    assert len(terms) <= 9 and sum(terms) <= 2 ** 15
+
+
+def last_delta(evaluations, ratio):
+    """|p_k - p_(k-1)| of euler_limit's last two extrapolants."""
+    ps = []
+    for k in range(len(evaluations) - 2, len(evaluations)):
+        w = min(6, k + 1)
+        ps.append(_neville_at_zero([ratio ** j for j in range(k + 1 - w, k + 1)],
+                                   [e.value for e in evaluations[k + 1 - w:k + 1]]))
+    return abs(ps[1] - ps[0])
+
+
+@pytest.mark.parametrize("ratio", [0.1, 0.3, 0.5, 0.7])
+def test_floor_weighs_each_roundoff_by_its_lagrange_weight(ratio):
+    # the stated floor is sum_j |w_j| roundoff_j over the last window, w_j the
+    # Lagrange weights at u = 0 of its nodes u_i = ratio^i, formed here directly
+    with pytest.raises(PrecisionFloor) as excinfo:
+        zeta_euler(-3.0, EulerLimitConfig(ratio=ratio, tolerance=1e-10))
+    evs = excinfo.value.evaluations
+    k = len(evs) - 1
+    w = min(6, k + 1)
+    us = [ratio ** i for i in range(k + 1 - w, k + 1)]
+    weights = [abs(math.prod(ui / (ui - uj) for ui in us if ui != uj)) for uj in us]
+    floor = sum(c * e.roundoff_bound for c, e in zip(weights, evs[-w:]))
+    assert f"roundoff floor {floor:.3e} " in str(excinfo.value)
+
+
+# Nearer the pole |zeta| passes 1/tol, which is the 1/tolerance exit's matter.
+LEFT_OF_2_5 = st.floats(-4.5, 2.5).filter(lambda s: abs(s - 1.0) >= 0.01)
+
+
+@settings(max_examples=100, deadline=None)
+@given(s=LEFT_OF_2_5, tol=st.floats(1e-12, 1e-6))
+def test_alternating_series_has_a_sum_or_reaches_its_floor(s, tol):
+    # NoEulerSum (or any other failure) propagates and fails the property
+    try:
+        zeta_euler(s, EulerLimitConfig(tolerance=tol))
+    except PrecisionFloor as exc:
+        floor = float(re.search(r"roundoff floor (\S+) ", str(exc)).group(1))
+        d = last_delta(exc.evaluations, 0.5)
+        assert tol < d <= floor * (1.0 + 5e-4)  # the message rounds the floor to 4 digits
+
+
+# mpmath's polylog loses about log10(1/|s|) of its digits at 0 < |s| << 1
+# (at s = 2.5e-170 it is 0.06 off), and its nsum is 0.25 off at s = 0
+@settings(max_examples=100, deadline=None)
+@given(s=LEFT_OF_2_5.filter(lambda s: s == 0.0 or abs(s) >= 1e-10), t=st.floats(0.0, 0.99),
+       tol=st.floats(1e-14, 1e-6))
+def test_abel_value_lies_within_its_tail_and_roundoff_bounds(s, t, tol):
+    ev = abel_eval(alternating_sequence(s), t, tol)
+    # Every a_n carries the prefactor 1/(1 - 2^u), u = 1 - s, and with it
+    # one relative rounding error that the roundoff bound does not count.
+    # With x = u ln 2 and c = 2^u / |1 - 2^u|, its condition number is |x| c
+    # in x and c in 2^u; rounding u, ln 2 and x each moves x by eps, 2^u (or
+    # expm1) is within an ulp, and the subtraction and division add eps each.
+    x = (1.0 - s) * math.log(2.0)
+    c = math.exp(x) / abs(math.expm1(x))
+    prefactor = sys.float_info.epsilon * (3.0 * abs(x) * c + c + 2.0) * abs(ev.value)
+    with mpmath.workdps(40):
+        sm = mpmath.mpf(s)
+        exact = -mpmath.polylog(sm, -mpmath.mpf(t)) / (1 - mpmath.mpf(2) ** (1 - sm))
+        err = abs(mpmath.mpf(ev.value) - exact)
+    # each product and each addition may also underflow, by half the least subnormal
+    underflow = ev.terms_used * math.ulp(0.0)
+    assert err <= ev.tail_bound + ev.roundoff_bound + prefactor + underflow
 
 
 @pytest.mark.parametrize("s", [1.5, 2.0, 3.0])

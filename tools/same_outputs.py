@@ -41,20 +41,21 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 # Ops that reach the exits of resummation.euler_limit which no deck op
 # reaches, one per line in this order: too few deltas to judge; still
-# contracting at k-max; the term-budget break after six points; |f| >
-# 1/tol; failed to contract; abel_eval's TailNotBounded; extrapolants
-# grew; steady growth; converged at a ratio whose nodes are not powers of
-# two.
+# contracting at k-max; the term-budget break after seven points; |f| >
+# 1/tol; failed to contract; extrapolants grew; steady growth; converged
+# at a ratio whose nodes are not powers of two; the roundoff floor.  No
+# zeta op reaches abel_eval's TailNotBounded mid-schedule: the roundoff
+# floor ends the alternating series first.
 EDGE_OPS = (
     ("zeta", "--s", "-1", "--k-max", "2"),
     ("zeta", "--s", "-1", "--k-max", "6"),
-    ("zeta", "--s", "-2", "--t-ratio", "0.1", "--tol", "1e-13"),
+    ("zeta", "--plain", "--s", "1.5", "--t-ratio", "0.1"),
     ("zeta", "--plain", "--s", "-3", "--tol", "1e-2"),
-    ("zeta", "--s", "-1", "--tol", "1e-12"),
-    ("zeta", "--s", "-2", "--tol", "1e-12"),
-    ("zeta", "--s", "-4", "--tol", "1e-8"),
+    ("zeta", "--plain", "--s", "1.02", "--t-ratio", "0.1"),
+    ("zeta", "--plain", "--s", "-1"),
     ("zeta", "--plain", "--s", "0.5"),
     ("zeta", "--s", "0.5", "--t-ratio", "0.3", "--tol", "1e-10"),
+    ("zeta", "--s", "-4", "--tol", "1e-8"),
 )
 
 
