@@ -146,8 +146,9 @@ class RunConfig:
         if self.subcommand == "zeta" and _BLOCK_MIN / self.t_ratio > DEFAULT_TERM_BUDGET:
             raise InvalidConfig(f"t-ratio {self.t_ratio!r} is below {_BLOCK_MIN}/{DEFAULT_TERM_BUDGET}: "
                                 "the term budget would end the schedule at t_0 = 0")
-        if self.tolerance <= 0.0:
-            raise InvalidConfig("tolerance must be finite and positive")
+        if not self.tolerance / INNER_TOL_FACTOR > 0.0:  # a positive tol can underflow here
+            raise InvalidConfig(f"tolerance {self.tolerance!r} must be positive, and so must the inner "
+                                f"tolerance tol/{INNER_TOL_FACTOR:g} in double precision")
         if self.output_format not in ("csv", "json"):
             raise InvalidConfig(f"unknown output format {self.output_format!r}")
         if self.subcommand == "sweep" and self.params["kernel"] not in _SWEEP_KERNELS:
@@ -204,18 +205,23 @@ def write_rows(path: str, rows: list, output_format: str, row_type=ResultRow) ->
     so parsing round-trips exactly.  JSON output equals json.dumps(indent=2,
     sort_keys=True) of {"rows": [...]}; with no rows, of {"columns":
     [row_type's fields], "rows": []}, so every file names its columns.  A failed
-    write leaves no new file and an old one whole; links, devices and pipes are written in place."""
+    write leaves no new file and an old one whole; links, devices and pipes are written in place,
+    and the file that sys.stdout writes to is written through sys.stdout, after what it holds."""
     names = (rows[0] if rows else row_type)._fields
     head, tail = (",".join(names) + "\n", "") if output_format == "csv" else ('{\n  "rows": [\n', "\n  ]\n}\n")
     if output_format != "csv" and not rows:
         head, tail = json.dumps({"columns": names, "rows": []}, indent=2, sort_keys=True) + "\n", ""
     template = "    {\n" + ",\n".join(f'      "{n}": %s' for n in sorted(names)) + "\n    }"
-    regular = os.path.isfile(path) and not os.path.islink(path)  # replaced by a whole temporary twin
+    try:  # the file stdout writes to, reopened, would be truncated and written over from offset 0
+        stdout = os.path.samestat(os.stat(path), os.fstat(sys.stdout.fileno()))
+    except (OSError, ValueError):  # no such file, or a stdout without a descriptor (an io.StringIO)
+        stdout = False
+    regular = not stdout and os.path.isfile(path) and not os.path.islink(path)  # replaced by a whole twin
     target = f"{path}.{os.urandom(6).hex()}.tmp" if regular else path
     fresh = regular or not os.path.lexists(path)  # created here, so removed if the write fails
-    f = open(target, "x" if fresh else "w", encoding="utf-8")
+    sink = contextlib.nullcontext(sys.stdout) if stdout else open(target, "x" if fresh else "w", encoding="utf-8")
     try:
-        with f:
+        with sink as f:
             f.write(head)
             for i in range(0, len(rows), _CHUNK):
                 cols = dict(zip(names, zip(*rows[i:i + _CHUNK])))

@@ -83,9 +83,10 @@ def zeta_direct(s: float, tol: float) -> float:
 def zeta_euler(s: float, cfg: Optional[EulerLimitConfig] = None) -> EulerLimitResult:
     """Euler summation of the alternating series for zeta(s), s != 1.
 
-    Works for all s where the extrapolation converges; for sufficiently
-    negative s the Abel evaluations are swamped by cancellation noise and
-    PrecisionFloor propagates instead of a silently wrong value.
+    Works for all s where the extrapolation converges, however large |zeta(s)|
+    is; for sufficiently negative s the Abel evaluations are swamped by
+    cancellation noise and PrecisionFloor propagates instead of a silently
+    wrong value (below about s = -85.5 the coefficients overflow: DomainError).
     """
     return euler_limit(alternating_sequence(s), cfg)
 

@@ -40,12 +40,13 @@ REPO = Path(__file__).resolve().parent.parent
 CHUNK = eulersum.harness._CHUNK
 
 
-def cli(*args):
+def cli(*args, stdout=subprocess.PIPE):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
         [sys.executable, "-m", "eulersum", *args],
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
         env=env,
         cwd=REPO,
@@ -453,6 +454,18 @@ def test_extreme_tolerances_end_in_a_verdict(tmp_path, argv, status, verdict, ca
     assert f"verdict={verdict} " in out and not err
 
 
+@pytest.mark.parametrize("tol", ["1e-322", "5e-324"])
+@pytest.mark.parametrize("subcommand", list(eulersum.harness._SUBCOMMANDS))
+def test_a_tolerance_whose_inner_tolerance_underflows_is_refused(tmp_path, capsys, subcommand, tol):
+    # tol / 100 rounds to 0: the certified prefixes would take log(0), and
+    # abel_eval would call the positive tol not positive
+    out = tmp_path / "r.csv"
+    assert main([subcommand, "--tol", tol, "--output", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: tolerance {float(tol)!r} must be positive, and so must the "
+                                       "inner tolerance tol/100 in double precision\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv, module, name",
     [
@@ -790,6 +803,24 @@ def test_rows_are_written_through_a_symlink_and_into_a_pipe(tmp_path):
     reader = subprocess.Popen(["cat", str(fifo)], stdout=subprocess.PIPE, text=True)
     write_rows(str(fifo), boundary_rows(2), "csv")
     assert reader.communicate(timeout=10)[0].count("\n") == 3  # header and two rows
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_rows_sent_to_stdout_that_is_a_file_come_after_its_text_and_before_the_summary(tmp_path, fmt):
+    # reopened through /dev/stdout, the file would be truncated and written
+    # from offset 0, and the summary, written at stdout's own offset, would
+    # overwrite the first rows
+    out = tmp_path / "f.txt"
+    out.write_text("earlier line\n")
+    with out.open("a") as f:
+        proc = cli("zeta", "--s", "0", "--k-max", "2", "--format", fmt, "--output", "/dev/stdout", stdout=f)
+    assert proc.returncode == 2 and proc.stderr == ""
+    first, *body, summary = out.read_text().splitlines(keepends=True)
+    assert first == "earlier line\n"
+    assert summary == "[zeta] value=-0.47619047619 error_estimate=0.190476190476 verdict=unconverged file=/dev/stdout\n"
+    rows = tmp_path / f"rows.{fmt}"
+    rows.write_text("".join(body))
+    assert [(r.k, r.t) for r in read_rows(str(rows))] == [(0, 0.0), (1, 0.5), (2, 0.75)]
 
 
 def first_difference(text, expected):
@@ -1213,8 +1244,8 @@ def test_cli_sweep_non_finite_kernel_value_exits_two(tmp_path, capsys, kernel, x
 @pytest.mark.parametrize("s, rc, summary", [
     ("-400", 2, "verdict=DomainError detail=non-finite coefficient near n=1"),
     ("-146", 2, "verdict=DomainError detail=non-finite coefficient near n=129"),
-    ("-60", 2, "verdict=NoEulerSum detail=|f(t)| = 2.349e+56 exceeds 1/tolerance at t=0.5"),
-    ("-43", 2, "verdict=NoEulerSum detail=|f(t)| = 6.597e+29 exceeds 1/tolerance at t=0.5"),
+    ("-60", 2, "verdict=PrecisionFloor detail=extrapolants stopped contracting at delta 3.068e+80"),
+    ("-43", 2, "verdict=PrecisionFloor detail=extrapolants stopped contracting at delta 2.514e+47"),
     ("1e300", 0, "value=1 error_estimate=0 verdict=converged"),
 ])
 def test_cli_zeta_at_extreme_s_reports_without_numpy_warnings(tmp_path, capsys, s, rc, summary):
@@ -1224,6 +1255,14 @@ def test_cli_zeta_at_extreme_s_reports_without_numpy_warnings(tmp_path, capsys, 
     assert main(["zeta", "--s", s, "--output", str(tmp_path / "z.csv")]) == rc
     captured = capsys.readouterr()
     assert summary in captured.out and captured.err == ""
+
+
+def test_cli_plain_zeta_far_left_overflows_before_a_growth_rule_fires(tmp_path, capsys):
+    # n^80 overflows near n = 7100, in the fourth evaluation (t = 0.875),
+    # before the extrapolants have grown for three steps: DomainError, not
+    # NoEulerSum, though both exit 2
+    assert main(["zeta", "--plain", "--s", "-80", "--output", str(tmp_path / "z.csv")]) == 2
+    assert "verdict=DomainError detail=non-finite coefficient near n=3969 " in capsys.readouterr().out
 
 
 @pytest.mark.filterwarnings("error")

@@ -105,11 +105,10 @@ def test_main_prints_the_counts_and_fails_on_any_difference(monkeypatch, capsys,
 # Where each edge op leaves euler_limit: a text of its summary line, and the
 # number of points it evaluated
 EDGE_EXITS = [
-    ("verdict=unconverged", 3),  # 2 deltas, too few to judge
-    ("verdict=unconverged", 7),  # 6 deltas, still contracting
+    ("verdict=unconverged", 3),  # k-max after 2 deltas
+    ("verdict=unconverged", 7),  # k-max after 6 deltas
     ("verdict=unconverged", 7),  # budget break after seven points
-    ("exceeds 1/tolerance", 3),
-    ("extrapolants failed to contract", 7),
+    ("value=12.4178033355 error_estimate=1.79846607067 verdict=unconverged", 7),  # the same, deltas shrinking ~5 % a step
     ("extrapolants grew", 4),
     ("f(t) grows like u^-0.480", 5),
     ("verdict=converged", 8),

@@ -129,20 +129,41 @@ def test_floor_weighs_each_roundoff_by_its_lagrange_weight(ratio):
     assert f"roundoff floor {floor:.3e} " in str(excinfo.value)
 
 
-# Nearer the pole |zeta| passes 1/tol, which is the 1/tolerance exit's matter.
+# s within 0.01 of the pole is left to test_zeta_euler_converges_near_the_pole.
 LEFT_OF_2_5 = st.floats(-4.5, 2.5).filter(lambda s: abs(s - 1.0) >= 0.01)
 
 
-@settings(max_examples=100, deadline=None)
-@given(s=LEFT_OF_2_5, tol=st.floats(1e-12, 1e-6))
-def test_alternating_series_has_a_sum_or_reaches_its_floor(s, tol):
-    # NoEulerSum (or any other failure) propagates and fails the property
+def assert_sum_or_floor(s, tol):
+    """zeta_euler(s) converges, or raises PrecisionFloor with a last delta
+    above tol and within the stated floor; NoEulerSum (or any other
+    failure) propagates and fails the caller."""
     try:
         zeta_euler(s, EulerLimitConfig(tolerance=tol))
     except PrecisionFloor as exc:
         floor = float(re.search(r"roundoff floor (\S+) ", str(exc)).group(1))
         d = last_delta(exc.evaluations, 0.5)
         assert tol < d <= floor * (1.0 + 5e-4)  # the message rounds the floor to 4 digits
+
+
+@settings(max_examples=100, deadline=None)
+@given(s=LEFT_OF_2_5, tol=st.floats(1e-12, 1e-6))
+def test_alternating_series_has_a_sum_or_reaches_its_floor(s, tol):
+    assert_sum_or_floor(s, tol)
+
+
+@settings(max_examples=100, deadline=None)
+@given(s=st.floats(-85.0, -4.5), tol=st.floats(1e-12, 1e-2))
+def test_alternating_series_far_left_has_no_false_no_sum(s, tol):
+    # |f(t_k)| passes 1/tol here (about 2e56 at s = -60, t = 1/2), yet the
+    # limit exists; below s = -85.5 the coefficients overflow (DomainError)
+    assert_sum_or_floor(s, tol)
+
+
+@pytest.mark.parametrize("s, tol", [(1.0 - 1e-7, 1e-6), (1.0 + 1e-7, 1e-6), (1.0 - 1e-5, 1e-4), (1.0 + 1e-5, 1e-4)])
+def test_zeta_euler_converges_near_the_pole(s, tol):
+    # zeta(s) ~ 1/(s - 1) is far above 1/tol: a large value is no sign of divergence
+    res = zeta_euler(s, EulerLimitConfig(tolerance=tol))
+    assert res.converged and abs(res.value - float(mpmath.zeta(s))) <= tol
 
 
 # mpmath's polylog loses about log10(1/|s|) of its digits at 0 < |s| << 1
