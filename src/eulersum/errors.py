@@ -5,8 +5,12 @@ class EulerSumError(Exception):
     """Base class for every library-specific failure.
 
     Carries the AbelEvaluations made before the failure, if any, so callers
-    can report how far a schedule got (``trace``: (t, value) pairs).
+    can report how far a schedule got (``trace``: (t, value) pairs), and
+    the best value reached with its bound where there is one (``value`` and
+    ``error_estimate``: PrecisionFloor's last extrapolant and floor).
     """
+
+    value = error_estimate = None
 
     def __init__(self, message: str = "", evaluations=None):
         super().__init__(message)

@@ -64,7 +64,7 @@ _FLAGS = {
     "format": (str, "result file format: csv or json"),
     "config": (str, "JSON file with flag defaults (flags win)"),
     "s": (float, "evaluation point"),
-    "plain": (bool, "Euler-sum the raw series sum(n^-s) instead (fails for s <= 1)"),
+    "plain": (bool, "Euler-sum the raw series sum(n^-s) instead (no sum for s < 1, too slow for 1 < s < 2.2)"),
     "x": (float, "evaluation point x"),
     "y": (float, "with --x, one sweep point instead of a grid"),
     "a": (float, "interval start"),
@@ -530,7 +530,8 @@ def run(config: RunConfig) -> int:
         raise
     except EulerSumError as exc:
         rows = getattr(exc, "rows", [])
-        summary = {"verdict": type(exc).__name__, "detail": str(exc)}
+        summary = {"value": exc.value, "error_estimate": exc.error_estimate, "verdict": type(exc).__name__,
+                   "detail": str(exc)}
     row_type = SweepRow if config.subcommand == "sweep" else ResultRow
     write_rows(config.output_path, rows, config.output_format, row_type)
     parts = [f"{k}={v:.12g}" if isinstance(v, float) else f"{k}={v}"

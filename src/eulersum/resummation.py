@@ -5,7 +5,7 @@ f(t) = sum(a_n * t^n) inside the unit interval and extrapolating the
 sequence f(t_k) along a schedule t_k = 1 - r^k to t = 1.  Evaluation is
 certified: each series' coefficient bound yields a geometric tail bound,
 which closes only for t < 1, so f is never evaluated at t = 1.
-Extrapolation is Neville polynomial extrapolation in u = 1 - t;
+Extrapolation is polynomial in u = 1 - t, by Lagrange weights at u = 0;
 divergent series are detected and reported rather than summed.
 """
 
@@ -27,10 +27,10 @@ from .errors import DomainError, EulerSumError, InvalidConfig, NoEulerSum, Preci
 # fixes before the first block.  So the sizes only decide where past N the
 # sum stops and in what order it adds, and with that its roundoff, on which
 # the verdicts of the zeta-mix benchmark's precision-limited
-# `zeta --s -3.33` and `--s -3.15` depend (ROADMAP item 3).  Blocks start
-# at the sequence's start_index for every t, so a block kept in a
-# sequence's _kept holds the same terms at every t and reading it back
-# leaves the order of addition unchanged.
+# `zeta --s -3.33` and `--s -3.15` depend (ROADMAP item 4, the roundoff
+# floor).  Blocks start at the sequence's start_index for every t, so a
+# block kept in a sequence's _kept holds the same terms at every t and
+# reading it back leaves the order of addition unchanged.
 _BLOCK_MIN = 128
 _BLOCK_MAX = 8192
 _OFFSETS = np.arange(_BLOCK_MAX, dtype=np.float64)  # n + _OFFSETS[:block] is a block's index, exact for n < 2^53
@@ -44,7 +44,7 @@ _KEPT_TERMS = 2 ** 17
 # schedule before this budget would be hit.
 DEFAULT_TERM_BUDGET = 20_000_000
 
-# Schedule points the Neville extrapolant runs through.
+# Schedule points in the extrapolant's window, the polynomial's degree + 1.
 _EXTRAPOLATION_ORDER = 6
 
 # Steady growth: differences of f = A u^-alpha + B + o(1) at t_k cancel B
@@ -226,8 +226,9 @@ def _certified_terms(c: float, gamma: float, t: float, tol: float) -> int:
 @np.errstate(all="ignore")
 def abel_eval(seq: CoefficientSequence, t: float, tol: float) -> AbelEvaluation:
     """Evaluate f(t) = sum(a_n t^n) for t in [0, 1) in blocks up to the
-    first block end past N = _certified_terms(seq.bound, growth hint, t, tol).
-    Its roundoff_bound is eps * sum(|a_n t^n|), gradual underflow aside.
+    first block end past N = _certified_terms(seq.bound, growth hint, t, tol),
+    adding the block sums with math.fsum.  Its roundoff_bound is
+    eps * sum(|a_n t^n|), gradual underflow aside.
 
     TailNotBounded is raised before any block is summed when n <= N holds
     more than DEFAULT_TERM_BUDGET terms, and when the coefficients
@@ -242,7 +243,7 @@ def abel_eval(seq: CoefficientSequence, t: float, tol: float) -> AbelEvaluation:
     if last - seq.start_index >= DEFAULT_TERM_BUDGET:  # with a_0 the prefix is one term longer
         raise _over_budget(tol, t)
 
-    total = comp = magnitude = 0.0  # comp: Neumaier compensation; magnitude: sum(|a_n| t^n)
+    block_sums, magnitude = [], 0.0  # magnitude: sum(|a_n| t^n)
     n = seq.start_index
     block_size = _BLOCK_MIN
     powers = np.power(t, np.arange(_BLOCK_MIN, dtype=np.float64))  # powers[j] = t^j
@@ -276,28 +277,13 @@ def abel_eval(seq: CoefficientSequence, t: float, tol: float) -> AbelEvaluation:
             coeffs = coeffs.copy() if gamma == 0.0 else coeffs  # term_block's own array at gamma = 0
             coeffs.flags.writeable = False
             kept.append(coeffs)
-        s = total + block_sum
-        if abs(total) >= abs(block_sum):
-            comp += (total - s) + block_sum
-        else:
-            comp += (block_sum - s) + total
-        total = s
+        block_sums.append(block_sum)
         n += block
         if n > last:
-            return AbelEvaluation(t=t, value=total + comp, terms_used=n - seq.start_index,
+            return AbelEvaluation(t=t, value=math.fsum(block_sums), terms_used=n - seq.start_index,
                                   tail_bound=_certified_tail(seq.bound, gamma, n, t),
                                   wall_ms=(time.perf_counter() - start) * 1e3,
                                   roundoff_bound=sys.float_info.epsilon * magnitude)
-
-
-def _neville_at_zero(us: list, fs: list) -> float:
-    """Polynomial through (u_j, f_j) evaluated at u = 0."""
-    q = list(fs)
-    m = len(q)
-    for i in range(1, m):
-        for j in range(m - 1, i - 1, -1):
-            q[j] = (us[j - i] * q[j] - us[j] * q[j - 1]) / (us[j - i] - us[j])
-    return q[-1]
 
 
 def euler_limit(seq: CoefficientSequence, cfg: Optional[EulerLimitConfig] = None) -> EulerLimitResult:
@@ -305,9 +291,11 @@ def euler_limit(seq: CoefficientSequence, cfg: Optional[EulerLimitConfig] = None
 
     Walks t_k = 1 - ratio^k, extrapolating through the last _EXTRAPOLATION_ORDER
     points after each evaluation, and stops once the last two extrapolants differ
-    by at most ``tolerance``.  Right after that test fails it raises PrecisionFloor
-    if the last difference has not contracted and is within the roundoff floor
-    sum_j |w_j| roundoff_bound_j, w_j being the window's Lagrange weights at u = 0.
+    by at most ``tolerance``; an extrapolant is sum_j w_j f(t_j), w_j being the
+    window's Lagrange weights at u = 0.  Right after that test fails it raises
+    PrecisionFloor, with the last extrapolant as ``value`` and the floor as
+    ``error_estimate``, if the last difference has not contracted and is within
+    the roundoff floor sum_j |w_j| roundoff_bound_j.
 
     Raises NoEulerSum only on evidence that no limit exists: the
     differences of the last five f(t_k) grow steadily, by ratios all above
@@ -340,19 +328,21 @@ def euler_limit(seq: CoefficientSequence, cfg: Optional[EulerLimitConfig] = None
             raise
         evaluations.append(ev)
 
-        w = min(_EXTRAPOLATION_ORDER, k + 1)
-        us = [cfg.ratio ** j for j in range(k + 1 - w, k + 1)]
-        p = _neville_at_zero(us, [e.value for e in evaluations[-w:]])
+        window = evaluations[-_EXTRAPOLATION_ORDER:]
+        us = [cfg.ratio ** j for j in range(k + 1 - len(window), k + 1)]
+        weights = [math.prod(ui / (ui - uj) for ui in us if ui != uj) for uj in us]  # L_j(0)
+        p = math.fsum(wj * e.value for wj, e in zip(weights, window))
         extrapolants.append(p)
         d = abs(p - extrapolants[-2]) if k else math.inf
         if d <= cfg.tolerance:
             return EulerLimitResult(value=p, error_estimate=d, converged=True, evaluations=evaluations)
         if k >= 2 and abs(extrapolants[-2] - extrapolants[-3]) <= d:  # no longer contracting
-            floor = sum(abs(math.prod(ui / (ui - uj) for ui in us if ui != uj)) * e.roundoff_bound
-                        for uj, e in zip(us, evaluations[-w:]))
+            floor = sum(abs(wj) * e.roundoff_bound for wj, e in zip(weights, window))
             if d <= floor:
-                raise PrecisionFloor(f"extrapolants stopped contracting at delta {d:.3e} within their "
+                exc = PrecisionFloor(f"extrapolants stopped contracting at delta {d:.3e} within their "
                                      f"roundoff floor {floor:.3e} at t={t_k!r}", evaluations)
+                exc.value, exc.error_estimate = p, floor
+                raise exc
         f = [e.value for e in evaluations[-5:]]
         diffs = [b - a for a, b in zip(f, f[1:])]
         rho = [b / a for a, b in zip(diffs, diffs[1:])] if len(diffs) == 4 and all(diffs) else [0.0]

@@ -3,15 +3,17 @@
 import math
 import re
 import sys
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from eulersum.errors import DomainError, NoEulerSum, PrecisionFloor
-from eulersum.resummation import EulerLimitConfig, _neville_at_zero, abel_eval
+from eulersum import resummation
+from eulersum.resummation import DEFAULT_TERM_BUDGET, AbelEvaluation, EulerLimitConfig, abel_eval, euler_limit
 from eulersum.zeta import (
     alternating_sequence,
     plain_sequence,
@@ -86,13 +88,14 @@ def test_zeta_euler_fails_honestly_deep_in_the_left_half_line():
 # that converge, as they did before the roundoff floor existed.  The other
 # twelve used to walk 12-16 points and up to 5.2 M terms into a false
 # NoEulerSum.
-LATTICE_CONVERGED = {-4.5: "-0x1.9544844b0efd9p-9", -3.33: "0x1.863f0af846665p-8",
-                     -3.24: "0x1.b70f6a54240a0p-8", -3.15: "0x1.e3da2d2fa2921p-8"}
+LATTICE = [float(f"{-4.5 + 0.09 * j:.6f}") for j in range(16)]
+LATTICE_CONVERGED = {-4.5: "-0x1.9544844b0efdcp-9", -3.33: "0x1.863f0af846666p-8",
+                     -3.24: "0x1.b70f6a54240a4p-8", -3.15: "0x1.e3da2d2fa2925p-8"}
 
 
 @pytest.mark.parametrize("j", range(16))
 def test_precision_limited_lattice_converges_as_before_or_stops_at_its_floor(j):
-    s = float(f"{-4.5 + 0.09 * j:.6f}")
+    s = LATTICE[j]
     cfg = EulerLimitConfig(tolerance=1e-8)
     if s in LATTICE_CONVERGED:
         res = zeta_euler(s, cfg)
@@ -104,13 +107,72 @@ def test_precision_limited_lattice_converges_as_before_or_stops_at_its_floor(j):
     assert len(terms) <= 9 and sum(terms) <= 2 ** 15
 
 
+@pytest.mark.parametrize("s", [s for s in LATTICE if s not in LATTICE_CONVERGED])
+def test_precision_floor_states_a_value_within_its_bound(s):
+    # the last extrapolant, and the floor as its bound, which covers both
+    # the last extrapolant difference and the distance to zeta(s)
+    with pytest.raises(PrecisionFloor) as excinfo:
+        zeta_euler(s, EulerLimitConfig(tolerance=1e-8))
+    exc = excinfo.value
+    assert f"roundoff floor {exc.error_estimate:.3e} " in str(exc)
+    assert 1e-8 < last_delta(exc.evaluations, 0.5) <= exc.error_estimate
+    assert abs(exc.value - float(mpmath.zeta(s))) <= exc.error_estimate
+
+
+def lagrange_weights(us):
+    """The weights w_j of the polynomial through (u_j, f_j) at u = 0, its
+    value being sum_j w_j f_j."""
+    return [math.prod(ui / (ui - uj) for ui in us if ui != uj) for uj in us]
+
+
+def neville_at_zero(us, fs):
+    """The same polynomial's value at u = 0 by Neville's recurrence, an
+    oracle that shares no arithmetic with the weights."""
+    q = list(fs)
+    for i in range(1, len(q)):
+        for j in range(len(q) - 1, i - 1, -1):
+            q[j] = (us[j - i] * q[j] - us[j] * q[j - 1]) / (us[j - i] - us[j])
+    return q[-1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(ratio=st.floats(0.1, 0.9), limit=st.floats(-1.0, 1.0),
+       slopes=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=8))
+def test_extrapolants_match_nevilles_recurrence(ratio, limit, slopes):
+    # f(t_k) = limit + slope_k u_k with no roundoff bound, so no floor ends
+    # the walk, and the last point takes the whole term budget, which ends
+    # it there; the value returned is the last extrapolant, through the last
+    # min(6, k + 1) points: windows of 1 to 6 points
+    points = iter([(limit + c * ratio ** k, 1) for k, c in enumerate(slopes[:-1])]
+                  + [(limit + slopes[-1] * ratio ** (len(slopes) - 1), DEFAULT_TERM_BUDGET)])
+
+    def stub(seq, t, tol):
+        f, terms = next(points)
+        return AbelEvaluation(t=t, value=f, terms_used=terms, tail_bound=0.0, wall_ms=0.0, roundoff_bound=0.0)
+
+    cfg = EulerLimitConfig(ratio=ratio, k_max=len(slopes), tolerance=1e-300)
+    with mock.patch.object(resummation, "abel_eval", stub):
+        try:
+            res = euler_limit(alternating_sequence(0.0), cfg)
+        except NoEulerSum:
+            reject()
+    window = res.evaluations[-6:]
+    k = len(res.evaluations) - 1
+    us = [ratio ** j for j in range(k + 1 - len(window), k + 1)]
+    weights = lagrange_weights(us)
+    scale = math.fsum(abs(w * e.value) for w, e in zip(weights, window))
+    underflow = math.fsum(map(abs, weights)) * math.ulp(0.0)  # where the f_j are near the least subnormal
+    allowed = 8 * (sys.float_info.epsilon * scale + underflow)
+    assert abs(res.value - neville_at_zero(us, [e.value for e in window])) <= allowed
+
+
 def last_delta(evaluations, ratio):
     """|p_k - p_(k-1)| of euler_limit's last two extrapolants."""
     ps = []
     for k in range(len(evaluations) - 2, len(evaluations)):
         w = min(6, k + 1)
-        ps.append(_neville_at_zero([ratio ** j for j in range(k + 1 - w, k + 1)],
-                                   [e.value for e in evaluations[k + 1 - w:k + 1]]))
+        weights = lagrange_weights([ratio ** j for j in range(k + 1 - w, k + 1)])
+        ps.append(math.fsum(c * e.value for c, e in zip(weights, evaluations[k + 1 - w:k + 1])))
     return abs(ps[1] - ps[0])
 
 
@@ -123,9 +185,8 @@ def test_floor_weighs_each_roundoff_by_its_lagrange_weight(ratio):
     evs = excinfo.value.evaluations
     k = len(evs) - 1
     w = min(6, k + 1)
-    us = [ratio ** i for i in range(k + 1 - w, k + 1)]
-    weights = [abs(math.prod(ui / (ui - uj) for ui in us if ui != uj)) for uj in us]
-    floor = sum(c * e.roundoff_bound for c, e in zip(weights, evs[-w:]))
+    weights = lagrange_weights([ratio ** i for i in range(k + 1 - w, k + 1)])
+    floor = sum(abs(c) * e.roundoff_bound for c, e in zip(weights, evs[-w:]))
     assert f"roundoff floor {floor:.3e} " in str(excinfo.value)
 
 
