@@ -10,11 +10,10 @@ class EulerSumError(Exception):
     ``error_estimate``: PrecisionFloor's last extrapolant and floor).
     """
 
-    value = error_estimate = None
-
-    def __init__(self, message: str = "", evaluations=None):
+    def __init__(self, message: str = "", evaluations=None, value=None, error_estimate=None):
         super().__init__(message)
         self.evaluations = list(evaluations) if evaluations is not None else []
+        self.value, self.error_estimate = value, error_estimate
 
     @property
     def trace(self) -> list:

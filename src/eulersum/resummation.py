@@ -339,10 +339,8 @@ def euler_limit(seq: CoefficientSequence, cfg: Optional[EulerLimitConfig] = None
         if k >= 2 and abs(extrapolants[-2] - extrapolants[-3]) <= d:  # no longer contracting
             floor = sum(abs(wj) * e.roundoff_bound for wj, e in zip(weights, window))
             if d <= floor:
-                exc = PrecisionFloor(f"extrapolants stopped contracting at delta {d:.3e} within their "
-                                     f"roundoff floor {floor:.3e} at t={t_k!r}", evaluations)
-                exc.value, exc.error_estimate = p, floor
-                raise exc
+                raise PrecisionFloor(f"extrapolants stopped contracting at delta {d:.3e} within their "
+                                     f"roundoff floor {floor:.3e} at t={t_k!r}", evaluations, p, floor)
         f = [e.value for e in evaluations[-5:]]
         diffs = [b - a for a, b in zip(f, f[1:])]
         rho = [b / a for a, b in zip(diffs, diffs[1:])] if len(diffs) == 4 and all(diffs) else [0.0]

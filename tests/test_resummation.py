@@ -1,9 +1,11 @@
 """Abel evaluation and Euler-limit extraction against brute-force oracles."""
 
 import dataclasses
+import gc
 import math
 import re
 import sys
+import weakref
 
 import mpmath
 import numpy as np
@@ -11,7 +13,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eulersum.errors import DomainError, InvalidConfig, NoEulerSum, TailNotBounded, TNotInUnitInterval
+from eulersum.errors import (
+    DomainError,
+    InvalidConfig,
+    NoEulerSum,
+    PrecisionFloor,
+    TailNotBounded,
+    TNotInUnitInterval,
+)
 from eulersum.oscillator import osc_action_coefficients
 from eulersum.resummation import (
     _BLOCK_MAX,
@@ -279,6 +288,24 @@ def test_abel_eval_failure_carries_the_evaluations_made(monkeypatch):
         euler_limit(alternating_unit(), EulerLimitConfig(tolerance=1e-14))
     assert excinfo.value.evaluations == made
     assert excinfo.value.trace == [(e.t, e.value) for e in made]
+
+
+def test_a_limit_ended_at_its_floor_leaves_no_reference_cycle():
+    # an exception bound to a local of the frame that raises it forms a
+    # cycle through its traceback, which would keep the sequence and its
+    # kept coefficients alive until the cyclic collector runs
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        seq = alternating_sequence(-4.0)
+        alive = weakref.ref(seq)
+        with pytest.raises(PrecisionFloor):
+            euler_limit(seq, EulerLimitConfig(tolerance=1e-8))
+        del seq
+        assert alive() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_abel_eval_gives_up_once_the_budget_cannot_close_the_bound():
