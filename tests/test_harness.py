@@ -4,7 +4,6 @@ import argparse
 import json
 import math
 import os
-import re
 import subprocess
 import sys
 import tracemalloc
@@ -1336,17 +1335,6 @@ def test_cli_strict_deep_negative_s(tmp_path):
     proc = cli("zeta", "--s", "-5", "--output", str(out))
     assert proc.returncode == 2
     assert "verdict=PrecisionFloor" in proc.stdout
-
-
-def test_cli_precision_floor_prints_its_value_and_bound(tmp_path, capsys):
-    # the last extrapolant and the floor, whose bound covers zeta(-4) = 0;
-    # the exit status and the nine rows are as without them
-    out = tmp_path / "z.csv"
-    assert main(["zeta", "--s", "-4", "--tol", "1e-8", "--output", str(out)]) == 2
-    got = re.search(r"\] value=(\S+) error_estimate=(\S+) verdict=PrecisionFloor detail=extrapolants stopped ",
-                    capsys.readouterr().out)
-    assert got and 1e-8 < float(got[2]) and abs(float(got[1])) <= float(got[2])
-    assert len(read_rows(str(out))) == 9
 
 
 def test_cli_usage_errors():

@@ -13,14 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eulersum.errors import (
-    DomainError,
-    InvalidConfig,
-    NoEulerSum,
-    PrecisionFloor,
-    TailNotBounded,
-    TNotInUnitInterval,
-)
+from eulersum.errors import DomainError, InvalidConfig, NoEulerSum, PrecisionFloor, TailNotBounded, TNotInUnitInterval
 from eulersum.oscillator import osc_action_coefficients
 from eulersum.resummation import (
     _BLOCK_MAX,

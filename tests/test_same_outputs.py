@@ -112,7 +112,7 @@ EDGE_EXITS = [
     ("extrapolants grew", 4),
     ("f(t) grows like u^-0.480", 5),
     ("verdict=converged", 8),
-    ("verdict=PrecisionFloor", 9),
+    ("value=3.47599911166e-05 error_estimate=0.000647095742291 verdict=PrecisionFloor", 9),  # zeta(-4) = 0
 ]
 
 

@@ -87,8 +87,10 @@ def test_main_prints_each_case_the_totals_and_the_changed_classes(monkeypatch, c
     argv = [] if against is None else ["--against", against]
     assert verdict_scan.main(argv) == status
     out = capsys.readouterr().out.splitlines()
-    assert out[:3] == ["alternating s=-1.0 tol=1e-08: converged points=3 terms=384 wall_ms=1.0 error=0.000e+00",
-                       "alternating s=-4.0 tol=1e-08: PrecisionFloor points=3 terms=384 wall_ms=1.0 error=1.000e-05",
+    assert out[:3] == ["alternating s=-1.0 tol=1e-08: converged points=3 terms=384 wall_ms=1.0 error=0.000e+00 "
+                       "error_estimate=1.000e-09",
+                       "alternating s=-4.0 tol=1e-08: PrecisionFloor points=3 terms=384 wall_ms=1.0 error=1.000e-05 "
+                       "error_estimate=6.000e-04",
                        "plain s=0.5 tol=1e-08: NoEulerSum points=3 terms=384 wall_ms=1.0"]
     assert out[3:6] == ["[candidate]", "alternating tol=1e-08: PrecisionFloor 1, converged 1",
                         "plain tol=1e-08: NoEulerSum 1"]

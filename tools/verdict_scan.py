@@ -29,9 +29,10 @@ one.  A verdict is false when the oracle contradicts what it states:
 Each tree runs the cases in a process of its own that imports eulersum
 from its ``src/``, the trees one after the other; REV is extracted with
 ``bench_record.archive``.  Prints each case of this checkout with its
-class, points, Abel terms, wall time and error, then the totals per class
-of each group of cases, and with --against the cases whose class changed
-and their count; exits 1 if any changed.  Standard library and mpmath only.
+class, points, Abel terms, wall time, error and error estimate, then the
+totals per class of each group of cases, and with --against the cases
+whose class changed and their count; exits 1 if any changed.  Standard
+library and mpmath only.
 """
 
 from __future__ import annotations
@@ -170,8 +171,9 @@ def main(argv=None) -> int:
             todo, limits, got, classes = scan({**roots, "baseline": baseline})
     for case, lim, outcome, cls in zip(todo, limits, got["candidate"], classes["candidate"]):
         error = "" if lim is None or outcome["value"] is None else f" error={abs(outcome['value'] - lim):.3e}"
+        bound = "" if outcome["error_estimate"] is None else f" error_estimate={outcome['error_estimate']:.3e}"
         print(f"{label(case)}: {cls} points={outcome['points']} terms={outcome['terms']} "
-              f"wall_ms={outcome['wall_ms']:.1f}{error}")
+              f"wall_ms={outcome['wall_ms']:.1f}{error}{bound}")
     for side in classes:
         print(f"[{side}]", *totals(todo, classes[side]), sep="\n")
     if args.against is None:
