@@ -67,12 +67,12 @@ class CoefficientSequence:
     """Vectorised term oracle defining a (possibly divergent) series sum(a_n).
 
     ``term_block`` maps an ndarray of integer-valued float indices
-    n >= start_index to the normalised coefficients b_n = a_n / max(n, 1)^gamma,
-    gamma = ``growth_hint``, and ``bound`` states C >= |b_n| for all n >= 1.
-    abel_eval forms a_n = b_n * max(n, 1)^gamma and sums the prefix whose
-    tail _certified_terms certifies from C.  It keeps the read-only blocks
-    a_n of the first _KEPT_TERMS terms in ``_kept``, in block order, which
-    neither equality, hashing nor ``dataclasses.replace`` carries.
+    n >= start_index to the coefficients a_n, and ``bound`` C and
+    ``growth_hint`` gamma state |a_n| <= C n^gamma for all n >= 1.
+    abel_eval sums the prefix whose tail _certified_terms certifies from them.
+    It keeps read-only copies of the blocks a_n of the first _KEPT_TERMS
+    terms in ``_kept``, in block order, which neither equality, hashing nor
+    ``dataclasses.replace`` carries.
     """
 
     term_block: Callable[[np.ndarray], np.ndarray]
@@ -260,13 +260,12 @@ def abel_eval(seq: CoefficientSequence, t: float, tol: float) -> AbelEvaluation:
         else:
             idx = _OFFSETS[:block] + n
             try:
-                normed = np.asarray(seq.term_block(idx), dtype=np.float64)
+                coeffs = np.asarray(seq.term_block(idx), dtype=np.float64)
             except OverflowError:
                 raise TailNotBounded(
                     f"coefficients overflow double precision near n={n}; "
                     "the tail cannot be evaluated, let alone bounded"
                 )
-            coeffs = normed if gamma == 0.0 else normed * (idx if n else np.maximum(idx, 1.0)) ** gamma
         prod = np.multiply(powers[:block], t ** n, out=products[:block])
         magnitude += float(np.dot(np.abs(coeffs), prod))  # reads t^n only: the value's arithmetic is unchanged
         block_sum = float(np.multiply(coeffs, prod, out=prod).sum())
@@ -274,7 +273,7 @@ def abel_eval(seq: CoefficientSequence, t: float, tol: float) -> AbelEvaluation:
         if not math.isfinite(block_sum) and not np.all(np.isfinite(coeffs)):
             raise DomainError(f"non-finite coefficient near n={n}")
         if b == len(kept) and n + block - seq.start_index <= _KEPT_TERMS:
-            coeffs = coeffs.copy() if gamma == 0.0 else coeffs  # term_block's own array at gamma = 0
+            coeffs = coeffs.copy()  # not term_block's own array, which its caller may reuse
             coeffs.flags.writeable = False
             kept.append(coeffs)
         block_sums.append(block_sum)

@@ -220,9 +220,8 @@ def well_action_sequence(x: float, p: int) -> CoefficientSequence:
     """The eigen-series f(t) = sum a_n t^n of the action of H^p on
     g = y(pi - y) at x in (0, pi): g_n = sqrt(2/pi) 4/n^3 for odd n (0 for
     even n) and E_n = n^2/2 give a_n = (8/pi) (n^2/2)^p sin(nx)/n^3 over odd
-    n, i.e. (8/pi) sin(nx)/n^3 (identity) and (4/pi) sin(nx)/n (H).  The
-    growth hint is 2p - 3, and the normalised b_n = a_n / n^(2p - 3) are
-    (8/pi) 2^-p sin(nx) over odd n, so the bound is C = (8/pi) 2^-p.
+    n, i.e. (8/pi) sin(nx)/n^3 (identity) and (4/pi) sin(nx)/n (H).  So
+    |a_n| <= C n^(2p - 3) with C = (8/pi) 2^-p, the bound and growth hint.
 
     That bound covers truncation only: sin(nx) is taken at n x rounded to
     double, which moves f(t) by up to eps C x sum n^(2p-2) t^n (eps = 2^-53).
@@ -230,12 +229,12 @@ def well_action_sequence(x: float, p: int) -> CoefficientSequence:
     t = 1 - 2^-13 the sum is 64.9 off its closed form, with tail bound 1e-10."""
     if not 0.0 < x < PI:
         raise DomainError(f"x={x!r} must lie in (0, pi)")
-    scale = 8.0 / PI * 0.5 ** p
+    scale, gamma = 8.0 / PI * 0.5 ** p, 2.0 * p - 3.0
 
     def term_block(n: np.ndarray) -> np.ndarray:
-        return (n.astype(np.int64) & 1) * scale * np.sin(n * x)
+        return (n.astype(np.int64) & 1) * scale * np.sin(n * x) * n ** gamma
 
-    return CoefficientSequence(term_block, growth_hint=2.0 * p - 3.0, bound=scale, start_index=1)
+    return CoefficientSequence(term_block, growth_hint=gamma, bound=scale, start_index=1)
 
 
 # Within a block, t^(2j) = hi[j // _STRIDE] * lo[j % _STRIDE]: each row keeps
@@ -275,7 +274,7 @@ def well_action_evaluations(x: float, p: int, ts, tol: float) -> list:
     walls = [0.0] * len(schedule)
     for n0 in range(1, n_last + 1, 2 * _BLOCK_MAX):
         idx = np.arange(n0, min(n0 + 2 * _BLOCK_MAX, n_last + 1), 2, dtype=np.float64)
-        coeffs = np.asarray(seq.term_block(idx), dtype=np.float64) * idx ** gamma
+        coeffs = np.asarray(seq.term_block(idx), dtype=np.float64)
         if not np.all(np.isfinite(coeffs)):
             raise DomainError(f"non-finite coefficient near n={n0}")
         strided = coeffs[:coeffs.size - coeffs.size % _STRIDE].reshape(-1, _STRIDE)

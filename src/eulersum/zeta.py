@@ -35,8 +35,8 @@ KNOWN_VALUES = {
 
 
 def alternating_sequence(s: float) -> CoefficientSequence:
-    """Coefficients a_n = (-1)^(n+1) n^-s / (1 - 2^(1-s)), n >= 1; the
-    normalised b_n = a_n / n^-s is the prefactor with the sign of a_n."""
+    """Coefficients a_n = (-1)^(n+1) n^-s / (1 - 2^(1-s)), n >= 1: the
+    prefactor with the sign of a_n, times n^-s; the bound is |prefactor|."""
     if s == 1.0:
         raise DomainError("prefactor pole at s = 1")
     u = 1.0 - s  # near the pole 1 - 2^u cancels, and -expm1(u ln 2) keeps its digits
@@ -44,7 +44,7 @@ def alternating_sequence(s: float) -> CoefficientSequence:
     by_parity = np.array([-pref, pref])
 
     def term_block(idx: np.ndarray) -> np.ndarray:
-        return by_parity.take(idx.astype(np.int64) & 1)
+        return by_parity.take(idx.astype(np.int64) & 1) * idx ** -s
 
     return CoefficientSequence(term_block, growth_hint=-s, bound=abs(pref), start_index=1)
 
@@ -54,9 +54,9 @@ def plain_sequence(s: float) -> CoefficientSequence:
 
     For s = 0 this is the all-ones series 1 + 1 + 1 + ..., which has no
     Euler sum; feeding it to euler_limit exercises the honest-failure
-    path.  The normalised b_n = a_n / n^-s are all ones, with bound 1.
+    path.  The bound is 1: |a_n| <= n^-s.
     """
-    return CoefficientSequence(np.ones_like, growth_hint=-s, bound=1.0, start_index=1)
+    return CoefficientSequence(lambda idx: idx ** -s, growth_hint=-s, bound=1.0, start_index=1)
 
 
 def zeta_direct(s: float, tol: float) -> float:

@@ -50,9 +50,7 @@ def alternating_unit():
 
 
 def coefficients(seq, n_terms):
-    # a_n = b_n * max(n, 1)^gamma from the normalised coefficients b_n
-    n = np.arange(seq.start_index, seq.start_index + n_terms, dtype=np.float64)
-    return seq.term_block(n) * np.maximum(n, 1.0) ** seq.growth_hint
+    return seq.term_block(np.arange(seq.start_index, seq.start_index + n_terms, dtype=np.float64))
 
 
 def brute_partial(seq, t, n_terms):
@@ -73,8 +71,8 @@ def test_alternating_closed_form_at_half():
 
 
 def test_square_well_growth_against_brute_force():
-    # a_n = n^2: b_n = a_n / n^2 = 1
-    seq = CoefficientSequence(np.ones_like, growth_hint=2.0, bound=1.0, start_index=1)
+    # a_n = n^2
+    seq = CoefficientSequence(lambda n: n ** 2, growth_hint=2.0, bound=1.0, start_index=1)
     ev = abel_eval(seq, 0.9, 1e-8)
     oracle = math.fsum(n ** 2 * 0.9 ** n for n in range(1, 501))
     assert ev.value == pytest.approx(oracle, abs=1e-8)
@@ -88,14 +86,14 @@ def test_t_outside_unit_interval_rejected(t):
 
 def test_tail_bound_within_tolerance_on_success():
     # a_n = (-1)^(n+1) n
-    seq = CoefficientSequence(lambda n: (-1.0) ** (n + 1), growth_hint=1.0, bound=1.0, start_index=1)
+    seq = CoefficientSequence(lambda n: (-1.0) ** (n + 1) * n, growth_hint=1.0, bound=1.0, start_index=1)
     ev = abel_eval(seq, 0.97, 1e-9)
     assert 0.0 <= ev.tail_bound <= 1e-9
 
 
 def test_value_matches_brute_partial_sum_with_same_term_count():
     # a_n = (-1)^(n+1) n^0.5
-    seq = CoefficientSequence(lambda n: (-1.0) ** (n + 1), growth_hint=0.5, bound=1.0, start_index=1)
+    seq = CoefficientSequence(lambda n: (-1.0) ** (n + 1) * n ** 0.5, growth_hint=0.5, bound=1.0, start_index=1)
     for t in (0.0, 0.3, 0.9, 0.99):
         ev = abel_eval(seq, t, 1e-8)
         oracle = brute_partial(seq, t, ev.terms_used)
@@ -130,15 +128,15 @@ def test_euler_limit_all_ones_has_no_sum():
 
 
 def test_euler_limit_one_two_three_has_no_sum():
-    # a_n = n: b_n = 1
-    naturals = CoefficientSequence(np.ones_like, growth_hint=1.0, bound=1.0, start_index=1)
+    # a_n = n
+    naturals = CoefficientSequence(lambda n: n, growth_hint=1.0, bound=1.0, start_index=1)
     with pytest.raises(NoEulerSum):
         euler_limit(naturals)
 
 
 def test_euler_limit_minus_one_twelfth():
-    # -1/3, +2/3, -3/3, +4/3, ...: b_n = a_n / n = (-1)^n / 3
-    seq = CoefficientSequence(lambda n: (-1.0) ** n / 3.0, growth_hint=1.0, bound=1.0 / 3.0, start_index=1)
+    # -1/3, +2/3, -3/3, +4/3, ...: |a_n| = n / 3
+    seq = CoefficientSequence(lambda n: (-1.0) ** n * n / 3.0, growth_hint=1.0, bound=1.0 / 3.0, start_index=1)
     res = euler_limit(seq)
     assert res.converged
     assert res.value == pytest.approx(-1.0 / 12.0, abs=1e-7)
@@ -159,8 +157,8 @@ def test_euler_limit_of_convergent_geometric():
         # 1/n! by lgamma: math.factorial(n) overflows a float past n = 170
         pytest.param(lambda n: np.exp(-np.array([math.lgamma(k + 1.0) for k in n])), 0, 0.0, 1.0, math.e,
                      id=f"<lambda>-0-0.0-{math.e}"),
-        # a_n = (-1)^(n+1) / n^2, given as b_n = a_n * n^2
-        pytest.param(lambda n: (-1.0) ** (n + 1), 1, -2.0, 1.0, math.pi ** 2 / 12.0,
+        # a_n = (-1)^(n+1) / n^2
+        pytest.param(lambda n: (-1.0) ** (n + 1) / n ** 2, 1, -2.0, 1.0, math.pi ** 2 / 12.0,
                      id=f"<lambda>-1--2.0-{math.pi ** 2 / 12.0}"),
     ],
 )
@@ -169,6 +167,8 @@ def test_consistency_with_ordinary_sums(term, start, hint, bound, expected):
     res = euler_limit(seq)
     assert res.converged
     assert abs(res.value - expected) <= 10 * EulerLimitConfig().tolerance
+    if start == 0:  # f(t_0 = 0) is a_0, the first coefficient term_block gives
+        assert res.evaluations[0].value == term(np.zeros(1))[0]
 
 
 def test_schedule_independence():
@@ -422,7 +422,8 @@ def package_sequences():
        tol=st.floats(min_value=1e-12, max_value=1e-4))
 @settings(max_examples=150, deadline=None)
 def test_stated_bound_holds_and_sets_the_prefix(seq, n0, size, t, tol):
-    assert np.all(np.abs(seq.term_block(np.arange(n0, n0 + size, dtype=np.float64))) <= seq.bound)
+    n = np.arange(n0, n0 + size, dtype=np.float64)
+    assert np.all(np.abs(seq.term_block(n)) <= seq.bound * n ** seq.growth_hint)
     ev = abel_eval(seq, t, tol)
     last = _certified_terms(seq.bound, seq.growth_hint, t, tol)
     assert ev.terms_used == next(n for n in block_ends(seq.start_index) if n > last) - seq.start_index
@@ -458,8 +459,8 @@ def test_well_action_series_matches_polylog_to_roundoff(p, x, t):
     assert abs(ev.value - exact) <= 4.0 * EPS * scale
 
 
-# terms_used and tail_bound as computed when term_block returned a_n and the
-# constant C was estimated as max |a_n| / n^gamma over the summed prefix.  The
+# terms_used and tail_bound as computed when the constant C was estimated as
+# max |a_n| / n^gamma over the summed prefix.  The
 # stated bound keeps every truncation, and the tail bound, which is linear in
 # C, rescaled to that estimate is the pinned one within a few ulps.  The
 # estimate was the bound itself for zeta; the well's |sin(nx)| stays below 1.
@@ -478,20 +479,9 @@ def test_truncation_matches_the_unnormalised_coefficients(seq, t, tol, terms, ta
     seq = seq()
     ev = abel_eval(seq, t, tol)
     assert ev.terms_used == terms
-    estimate = np.max(np.abs(seq.term_block(np.arange(1.0, seq.start_index + terms))))
+    n = np.arange(1.0, seq.start_index + terms)
+    estimate = np.max(np.abs(seq.term_block(n)) / n ** seq.growth_hint)
     assert ev.tail_bound * (estimate / seq.bound) == pytest.approx(tail, rel=1e-15, abs=0.0)
-
-
-@pytest.mark.parametrize("gamma, power_sum", [(2.0, 6.0), (-2.0, math.pi ** 2 / 12.0 - math.log(2.0) ** 2 / 2.0)])
-def test_start_index_zero_takes_b0_as_a0(gamma, power_sum):
-    # max(0, 1)^gamma = 1, so a_0 = b_0 = 5 even where 0^gamma is infinite;
-    # at t = 1/2, sum n^2 t^n = t(1 + t)/(1 - t)^3 = 6 and sum n^-2 t^n = Li_2(1/2)
-    seq = CoefficientSequence(lambda n: np.where(n == 0, 5.0, 1.0), growth_hint=gamma, bound=1.0)
-    ev = abel_eval(seq, 0.5, 1e-13)
-    assert ev.value == pytest.approx(5.0 + power_sum, abs=1e-13)
-    # the bound covers n >= 1 only: b_0 does not move the truncation
-    ones = abel_eval(CoefficientSequence(np.ones_like, growth_hint=gamma, bound=1.0), 0.5, 1e-13)
-    assert (ev.terms_used, ev.tail_bound) == (ones.terms_used, ones.tail_bound)
 
 
 # --- the kept coefficient blocks -------------------------------------------------
@@ -503,11 +493,11 @@ def fresh(seq):
 
 
 def cosines_from_zero(gamma):
-    # b_n = cos(n) from n = 0, written into one buffer that every call reuses
+    # a_n = cos(n) max(n, 1)^gamma from n = 0, written into one buffer that every call reuses
     buffer = np.empty(_BLOCK_MAX)
 
     def term_block(n):
-        return np.cos(n, out=buffer[:n.size])
+        return np.multiply(np.cos(n), np.maximum(n, 1.0) ** gamma, out=buffer[:n.size])
 
     return CoefficientSequence(term_block, growth_hint=gamma, bound=1.0)
 
@@ -544,6 +534,18 @@ def test_one_limit_makes_each_kept_coefficient_once():
     assert max(e.terms_used for e in res.evaluations) > kept
     assert np.all(made[1:1 + kept] == 1) and made[0] == 0
     assert np.max(made[1 + kept:]) > 1  # past the kept prefix each evaluation makes its own
+
+
+def test_kept_blocks_are_copies_of_what_term_block_returned():
+    returned = []  # every array term_block handed out, each its own
+    seq = CoefficientSequence(lambda n: returned.append(np.cos(n)) or returned[-1], growth_hint=0.0, bound=1.0)
+    first = abel_eval(seq, 0.9, 1e-10)
+    assert seq._kept and len(returned) == len(seq._kept)
+    for block in returned:
+        block[:] = np.nan
+    again = abel_eval(seq, 0.9, 1e-10)
+    assert len(returned) == len(seq._kept)  # read back, not made anew
+    assert (again.value.hex(), again.terms_used) == (first.value.hex(), first.terms_used)
 
 
 def test_kept_blocks_stay_within_the_kept_terms():
