@@ -300,12 +300,13 @@ def euler_limit(seq: CoefficientSequence, cfg: Optional[EulerLimitConfig] = None
     differences of the last five f(t_k) grow steadily, by ratios all above
     1.05 and within 5 % of each other, as for f ~ A u^-alpha (the message
     gives alpha = log(last ratio) / log(1/ratio)); or the extrapolants more
-    than double in magnitude three times in a row.  A large f(t_k) is no
-    such evidence.  A schedule that ends at k_max, at saturation or at the
-    term budget returns the last extrapolant unconverged, its error
-    estimate the last extrapolant difference (inf with one point).  Each
-    exception, and any EulerSumError raised by abel_eval, carries the
-    evaluations made so far as ``evaluations``.
+    than double in magnitude three times in a row from a nonzero first one
+    (f(0) = 0 from n = 1 is no start).  A large f(t_k) is no such evidence.
+    A schedule that ends at k_max, at saturation or at the term budget
+    returns the last extrapolant unconverged, its error estimate the last
+    extrapolant difference (inf with one point).  Each exception, and any
+    EulerSumError raised by abel_eval, carries the evaluations made so far
+    as ``evaluations``.
     """
     if cfg is None:
         cfg = EulerLimitConfig()
@@ -349,7 +350,7 @@ def euler_limit(seq: CoefficientSequence, cfg: Optional[EulerLimitConfig] = None
                              evaluations=evaluations)
         if len(extrapolants) >= 4:
             m0, m1, m2, m3 = (abs(q) for q in extrapolants[-4:])
-            if m1 > 2.0 * m0 and m2 > 2.0 * m1 and m3 > 2.0 * m2 and m3 > 10.0 * max(1.0, abs(evaluations[0].value)):
+            if 0.0 < 2.0 * m0 < m1 and 2.0 * m1 < m2 and 2.0 * m2 < m3 and m3 > 10.0 * max(1.0, abs(evaluations[0].value)):
                 raise NoEulerSum(
                     f"extrapolants grew {m0:.3e} -> {m3:.3e} over three steps; "
                     "no finite t -> 1 limit",

@@ -210,10 +210,11 @@ def test_schedule_exhausted_while_contracting_is_unconverged():
 
 def test_value_beyond_one_over_tolerance_has_no_sum():
     # sum n^3 t^n = t (1 + 4t + t^2) / (1 - t)^4 passes 1/tol = 100 at t = 0.5,
-    # which alone is no evidence; the extrapolants' growth is
-    with pytest.raises(NoEulerSum, match=r"^extrapolants grew ") as excinfo:
+    # which alone is no evidence; the extrapolants' growth is, counted from
+    # the first nonzero one: f(0) = 0, so the fourth extrapolant ends none
+    with pytest.raises(NoEulerSum, match=r"^extrapolants grew 5\.200e\+01 ") as excinfo:
         euler_limit(plain_sequence(-3.0), EulerLimitConfig(tolerance=1e-2))
-    assert [e.t for e in excinfo.value.evaluations] == [0.0, 0.5, 0.75, 0.875]
+    assert [e.t for e in excinfo.value.evaluations] == [0.0, 0.5, 0.75, 0.875, 0.9375]
 
 
 def test_term_budget_ends_the_schedule_unconverged():
@@ -616,6 +617,15 @@ def test_alternating_zeta_never_takes_the_steady_growth_exit(s):
 @pytest.mark.parametrize("x", [0.3, 1.0, 2.0])
 def test_well_action_series_still_converge(p, x):
     assert euler_limit(well_action_sequence(x, p), EulerLimitConfig(tolerance=1e-8)).converged
+
+
+def test_growth_from_an_exact_zero_is_no_evidence_of_divergence():
+    # H^3 on y(pi - y) has the limit 0, and f(0) = 0 here is no start for
+    # "extrapolants grew": the limit ends at its roundoff floor, not NoEulerSum
+    with pytest.raises(PrecisionFloor) as excinfo:
+        euler_limit(well_action_sequence(0.3, 3), EulerLimitConfig(tolerance=1e-8))
+    assert excinfo.value.evaluations[0].value == 0.0
+    assert 1e-8 < abs(excinfo.value.value) <= excinfo.value.error_estimate
 
 
 @pytest.mark.parametrize("x, y", [(1.0, 2.0), (0.3, 0.35), (0.5, 2.5)])

@@ -109,7 +109,7 @@ EDGE_EXITS = [
     ("verdict=unconverged", 7),  # k-max after 6 deltas
     ("verdict=unconverged", 7),  # budget break after seven points
     ("value=12.4178033355 error_estimate=1.79846607067 verdict=unconverged", 7),  # the same, deltas shrinking ~5 % a step
-    ("extrapolants grew", 4),
+    ("extrapolants grew", 5),
     ("f(t) grows like u^-0.480", 5),
     ("verdict=converged", 8),
     ("value=3.47599911166e-05 error_estimate=0.000647095742291 verdict=PrecisionFloor", 9),  # zeta(-4) = 0

@@ -10,14 +10,30 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 import verdict_scan  # noqa: E402
 
 
-def test_the_case_list_is_the_grid_the_plain_points_and_the_well():
+def test_the_case_list_is_the_grids_the_points_and_the_well():
     todo = verdict_scan.cases()
     alternating = [case for case in todo if case[0] == "alternating"]
-    assert len(alternating) == 3 * 1440 and all(s != 1.0 for _, (s,), _ in alternating)
+    assert len(alternating) == 3 * 1440 + 3 and all(s != 1.0 for _, (s,), _ in alternating)
     assert [case[1][0] for case in alternating[:3]] == [-4.6, -4.595, -4.59]
     assert alternating[1439][1] == [2.6] and {tol for *_, tol in alternating} == {1e-8, 1e-10, 1e-12}
-    assert [s for kind, (s,), _ in (c for c in todo if c[0] == "plain")] == list(verdict_scan.PLAIN_S)
+    assert alternating[-3:] == [["alternating", [0.9999999], 1e-8], ["alternating", [1.0000001], 1e-8],
+                                ["alternating", [-5.0], 1e-8]]
+    plain = [params[0] for kind, params, tol in todo if kind == "plain" and tol == 1e-8]
+    assert plain[:6] == [3.0, 2.5, 2.0, 1.5, 1.1, 1.02]
+    assert len(plain) == 6 + 404 and plain[6:9] == [-100.0, -99.75, -99.5] and plain[-1] == 0.75
+    assert all(b - a == 0.25 for a, b in zip(plain[6:], plain[7:]))
     assert len([c for c in todo if c[0] == "well"]) == 4 * 3 * 2
+
+
+@pytest.mark.parametrize("case, group", [
+    (["alternating", [-4.6], 1e-10], "alternating tol=1e-10"),
+    (["alternating", [-5.0], 1e-8], "alternating points tol=1e-08"),
+    (["plain", [1.02], 1e-8], "plain points tol=1e-08"),
+    (["plain", [-73.25], 1e-8], "plain tol=1e-08"),
+    (["well", [2.0, 3], 1e-8], "well tol=1e-08"),  # x = 2.0 is no plain point
+])
+def test_the_points_off_the_grids_have_tables_of_their_own(case, group):
+    assert verdict_scan.table(case) == group
 
 
 @pytest.mark.parametrize("x", [0.3, 1.0, 2.0])
@@ -64,10 +80,12 @@ def test_a_tree_runs_its_cases_in_a_process_of_its_own():
 
 @pytest.mark.parametrize("against, status", [(None, 0), ("HEAD~1", 1)])
 def test_main_prints_each_case_the_totals_and_the_changed_classes(monkeypatch, capsys, against, status):
-    todo = [["alternating", [-1.0], 1e-8], ["alternating", [-4.0], 1e-8], ["plain", [0.5], 1e-8]]
+    todo = [["alternating", [-1.0], 1e-8], ["alternating", [-4.0], 1e-8], ["plain", [0.5], 1e-8],
+            ["plain", [-80.0], 1e-8], ["plain", [1.5], 1e-8]]
     runs = {"new": [outcome("converged", -1.0 / 12.0, 1e-9), outcome("PrecisionFloor", 1e-5, 6e-4),
-                    outcome("NoEulerSum")],
-            "old": [outcome("converged", -1.0 / 12.0, 1e-9), outcome("PrecisionFloor"), outcome("unconverged")]}
+                    outcome("NoEulerSum"), outcome("DomainError"), outcome("unconverged", 2.6, 1e-3)],
+            "old": [outcome("converged", -1.0 / 12.0, 1e-9), outcome("PrecisionFloor"), outcome("unconverged"),
+                    outcome("DomainError"), outcome("unconverged", 2.6, 1e-3)]}
     seen = []
 
     class Archive:
@@ -87,17 +105,20 @@ def test_main_prints_each_case_the_totals_and_the_changed_classes(monkeypatch, c
     argv = [] if against is None else ["--against", against]
     assert verdict_scan.main(argv) == status
     out = capsys.readouterr().out.splitlines()
-    assert out[:3] == ["alternating s=-1.0 tol=1e-08: converged points=3 terms=384 wall_ms=1.0 error=0.000e+00 "
+    assert out[:5] == ["alternating s=-1.0 tol=1e-08: converged points=3 terms=384 wall_ms=1.0 error=0.000e+00 "
                        "error_estimate=1.000e-09",
                        "alternating s=-4.0 tol=1e-08: PrecisionFloor points=3 terms=384 wall_ms=1.0 error=1.000e-05 "
                        "error_estimate=6.000e-04",
-                       "plain s=0.5 tol=1e-08: NoEulerSum points=3 terms=384 wall_ms=1.0"]
-    assert out[3:6] == ["[candidate]", "alternating tol=1e-08: PrecisionFloor 1, converged 1",
-                        "plain tol=1e-08: NoEulerSum 1"]
+                       "plain s=0.5 tol=1e-08: NoEulerSum points=3 terms=384 wall_ms=1.0",
+                       "plain s=-80.0 tol=1e-08: DomainError points=3 terms=384 wall_ms=1.0",
+                       "plain s=1.5 tol=1e-08: unconverged points=3 terms=384 wall_ms=1.0 error=1.238e-02 "
+                       "error_estimate=1.000e-03"]
+    assert out[5:9] == ["[candidate]", "alternating tol=1e-08: PrecisionFloor 1, converged 1",
+                        "plain tol=1e-08: DomainError 1, NoEulerSum 1", "plain points tol=1e-08: unconverged 1"]
     if against is None:
-        assert len(out) == 6 and seen == []
+        assert len(out) == 9 and seen == []
     else:
         assert seen == ["HEAD~1"]
-        assert out[6:] == ["[baseline]", "alternating tol=1e-08: PrecisionFloor 1, converged 1",
-                           "plain tol=1e-08: unconverged 1", "plain s=0.5 tol=1e-08: unconverged -> NoEulerSum",
-                           "1 of 3 cases changed class"]
+        assert out[9:] == ["[baseline]", "alternating tol=1e-08: PrecisionFloor 1, converged 1",
+                           "plain tol=1e-08: DomainError 1, unconverged 1", "plain points tol=1e-08: unconverged 1",
+                           "plain s=0.5 tol=1e-08: unconverged -> NoEulerSum", "1 of 5 cases changed class"]

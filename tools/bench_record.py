@@ -42,7 +42,8 @@ import tempfile
 import time
 from pathlib import Path
 
-REPO = Path(__file__).resolve().parent.parent
+TOOLS = Path(__file__).resolve().parent
+REPO = TOOLS.parent
 WORKLOADS = ("zeta-mix", "actions-deep", "sweep-io")
 # Ten pairs per workload: a gain is claimed only if the change wins nine.
 SEEDS = tuple(range(1, 11))
@@ -55,6 +56,10 @@ CLI_CASES = (("zeta", "--s", "-1"), ("zeta", "--plain", "--s", "0.5"), ("well-de
              ("mehler-check",), ("sweep",), ("sweep", "--kernel", "osc-h", "--nx", "100", "--ny", "100"))
 LAUNCHES = 5
 SIDES = ("baseline", "candidate")
+# Numerical libraries run single-threaded, as in perfbench/run.py: a
+# threaded BLAS may sum in another order from one run to the next.
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
 
 def summarise(runs: list) -> dict:
@@ -111,6 +116,18 @@ def run_bench(root: Path, workload: str, seed: int, seconds: float, trace: int) 
                           stdin=subprocess.DEVNULL)
     detail, result = (json.loads(line) for line in proc.stdout.strip().splitlines()[-2:])
     return result["metrics"], detail
+
+
+def run_worker(root: Path, tool: str, items: list) -> list:
+    """The JSON lines that ``worker()`` of the module ``tool`` in tools/
+    prints for ``items``, sent to it as JSON, in one single-threaded process
+    importing eulersum from root/src."""
+    print(f"[{tool}] {root}: {len(items)} items", file=sys.stderr, flush=True)
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), **{var: "1" for var in THREAD_VARS})
+    code = f"import sys; sys.path.insert(1, {str(TOOLS)!r}); import {tool}; {tool}.worker()"
+    proc = subprocess.run([sys.executable, "-c", code], cwd=root, env=env, input=json.dumps(items),
+                          capture_output=True, text=True, check=True)
+    return [json.loads(line) for line in proc.stdout.splitlines()]
 
 
 def launch_round(root: Path, cases=CLI_CASES) -> dict:

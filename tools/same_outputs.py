@@ -23,22 +23,15 @@ import hashlib
 import importlib.util
 import io
 import json
-import os
 import re
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 import bench_record
 
-TOOLS = Path(__file__).resolve().parent
 SEEDS = bench_record.SEEDS
 WORKLOADS = bench_record.WORKLOADS
-# Numerical libraries run single-threaded, as in perfbench/run.py: a
-# threaded BLAS may sum in another order from one run to the next.
-THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-               "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 # Ops that reach the exits of resummation.euler_limit which no deck op
 # reaches, one per line in this order: k-max after two extrapolant
 # differences and after six; the term-budget break after seven points, on a
@@ -119,12 +112,7 @@ def worker() -> None:
 def run_tree(root: Path, ops: list) -> list:
     """The outcomes of ``ops`` in one process importing eulersum from
     root/src."""
-    print(f"[same_outputs] {root}: {len(ops)} ops", file=sys.stderr, flush=True)
-    env = dict(os.environ, PYTHONPATH=str(root / "src"), **{var: "1" for var in THREAD_VARS})
-    code = f"import sys; sys.path.insert(1, {str(TOOLS)!r}); import same_outputs; same_outputs.worker()"
-    proc = subprocess.run([sys.executable, "-c", code], cwd=root, env=env, input=json.dumps(ops),
-                          capture_output=True, text=True, check=True)
-    return [json.loads(line) for line in proc.stdout.splitlines()]
+    return bench_record.run_worker(root, "same_outputs", ops)
 
 
 def compare(roots: dict, ops: dict) -> tuple:

@@ -7,8 +7,10 @@ Each case is one ``euler_limit`` at the default ratio and k_max and the
 case's tolerance:
 
 - the alternating zeta series at s = -4.6 + 0.005 i (rounded to 4 decimals,
-  i = 0 ... 1440, without the pole s = 1) at tol 1e-8, 1e-10 and 1e-12;
-- the plain series sum(n^-s) at each s of PLAIN_S, at tol 1e-8;
+  i = 0 ... 1440, without the pole s = 1) at tol 1e-8, 1e-10 and 1e-12,
+  and at each s of ALTERNATING_S, which the grid does not reach, at tol 1e-8;
+- the plain series sum(n^-s) at each s of PLAIN_S and at s = -100 + 0.25 i
+  (i = 0 ... 403, up to 0.75), at tol 1e-8;
 - the square well's action series at p in 0 ... 3 and x in {0.3, 1, 2}, at
   tol 1e-8 and 1e-10.
 
@@ -39,8 +41,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import subprocess
 import sys
 import time
 from collections import Counter
@@ -50,11 +50,12 @@ from typing import Optional
 import mpmath
 
 import bench_record
-import same_outputs
 
-TOOLS = Path(__file__).resolve().parent
 GRID_TOLS = (1e-8, 1e-10, 1e-12)
-PLAIN_S = (3.0, 2.5, 2.0, 1.5, 1.1, 1.02, 0.5, 0.0, -1.0, -2.5)
+# Beside the pole, where the prefactor cancels, and below the grid.
+ALTERNATING_S = (1.0 - 1e-7, 1.0 + 1e-7, -5.0)
+# The plain series right of the grid below, where it converges (slowly).
+PLAIN_S = (3.0, 2.5, 2.0, 1.5, 1.1, 1.02)
 PLAIN_TOL = 1e-8
 WELL_P = (0, 1, 2, 3)
 WELL_X = (0.3, 1.0, 2.0)
@@ -64,8 +65,10 @@ WELL_TOLS = (1e-8, 1e-10)
 def cases() -> list:
     """[kind, params, tol] of every case, in the order they run."""
     grid = [round(-4.6 + 0.005 * i, 4) for i in range(1441)]
+    plain_grid = [-100.0 + 0.25 * i for i in range(404)]
     return ([["alternating", [s], tol] for tol in GRID_TOLS for s in grid if s != 1.0]
-            + [["plain", [s], PLAIN_TOL] for s in PLAIN_S]
+            + [["alternating", [s], GRID_TOLS[0]] for s in ALTERNATING_S]
+            + [["plain", [s], PLAIN_TOL] for s in (*PLAIN_S, *plain_grid)]
             + [["well", [x, p], tol] for tol in WELL_TOLS for p in WELL_P for x in WELL_X])
 
 
@@ -99,12 +102,7 @@ def worker() -> None:
 def run_tree(root: Path, todo: list) -> list:
     """The outcomes of the cases ``todo`` in one process importing eulersum
     from root/src."""
-    print(f"[verdict_scan] {root}: {len(todo)} cases", file=sys.stderr, flush=True)
-    env = dict(os.environ, PYTHONPATH=str(root / "src"), **{var: "1" for var in same_outputs.THREAD_VARS})
-    code = f"import sys; sys.path.insert(1, {str(TOOLS)!r}); import verdict_scan; verdict_scan.worker()"
-    proc = subprocess.run([sys.executable, "-c", code], cwd=root, env=env, input=json.dumps(todo),
-                          capture_output=True, text=True, check=True)
-    return [json.loads(line) for line in proc.stdout.splitlines()]
+    return bench_record.run_worker(root, "verdict_scan", todo)
 
 
 def exact_limit(kind: str, params: list) -> Optional[float]:
@@ -139,11 +137,19 @@ def label(case: list) -> str:
     return f"{kind} {' '.join(f'{n}={v!r}' for n, v in zip(names, params))} tol={tol:g}"
 
 
+def table(case: list) -> str:
+    """The group a case is counted in: its kind and tol, with the points of
+    ALTERNATING_S and PLAIN_S apart from the grids."""
+    kind, (first, *_), tol = case
+    points = first in {"alternating": ALTERNATING_S, "plain": PLAIN_S}.get(kind, ())
+    return f"{kind}{' points' if points else ''} tol={tol:g}"
+
+
 def totals(todo: list, classes: list) -> list:
-    """A line per group of cases (kind and tol) with its count per class."""
+    """A line per group of cases, as table() names it, with its count per class."""
     groups = {}
-    for (kind, _, tol), cls in zip(todo, classes):
-        groups.setdefault(f"{kind} tol={tol:g}", Counter())[cls] += 1
+    for case, cls in zip(todo, classes):
+        groups.setdefault(table(case), Counter())[cls] += 1
     return [f"{group}: " + ", ".join(f"{cls} {n}" for cls, n in sorted(counts.items()))
             for group, counts in groups.items()]
 
