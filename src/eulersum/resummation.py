@@ -273,7 +273,7 @@ def abel_eval(seq: CoefficientSequence, t: float, tol: float) -> AbelEvaluation:
         if not math.isfinite(block_sum) and not np.all(np.isfinite(coeffs)):
             raise DomainError(f"non-finite coefficient near n={n}")
         if b == len(kept) and n + block - seq.start_index <= _KEPT_TERMS:
-            coeffs = coeffs.copy()  # not term_block's own array, which its caller may reuse
+            coeffs = coeffs.copy()  # term_block may hand out a buffer that it reuses
             coeffs.flags.writeable = False
             kept.append(coeffs)
         block_sums.append(block_sum)

@@ -211,7 +211,7 @@ def test_schedule_exhausted_while_contracting_is_unconverged():
 def test_value_beyond_one_over_tolerance_has_no_sum():
     # sum n^3 t^n = t (1 + 4t + t^2) / (1 - t)^4 passes 1/tol = 100 at t = 0.5,
     # which alone is no evidence; the extrapolants' growth is, counted from
-    # the first nonzero one: f(0) = 0, so the fourth extrapolant ends none
+    # the first nonzero one: f(0) = 0, so it takes a fifth point to show
     with pytest.raises(NoEulerSum, match=r"^extrapolants grew 5\.200e\+01 ") as excinfo:
         euler_limit(plain_sequence(-3.0), EulerLimitConfig(tolerance=1e-2))
     assert [e.t for e in excinfo.value.evaluations] == [0.0, 0.5, 0.75, 0.875, 0.9375]
@@ -461,10 +461,10 @@ def test_well_action_series_matches_polylog_to_roundoff(p, x, t):
 
 
 # terms_used and tail_bound as computed when the constant C was estimated as
-# max |a_n| / n^gamma over the summed prefix.  The
-# stated bound keeps every truncation, and the tail bound, which is linear in
-# C, rescaled to that estimate is the pinned one within a few ulps.  The
-# estimate was the bound itself for zeta; the well's |sin(nx)| stays below 1.
+# max |a_n| / n^gamma over the summed prefix.  The stated bound keeps every
+# truncation, and the tail bound, which is linear in C, rescaled to that
+# estimate is the pinned one within a few ulps.  The estimate was the bound
+# itself for zeta; the well's |sin(nx)| stays below 1.
 @pytest.mark.parametrize(
     "seq, t, tol, terms, tail",
     [

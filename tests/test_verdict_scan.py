@@ -10,7 +10,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 import verdict_scan  # noqa: E402
 
 
-def test_the_case_list_is_the_grids_the_points_and_the_well():
+def test_the_case_list_is_the_grid_the_plain_points_and_the_well():
     todo = verdict_scan.cases()
     alternating = [case for case in todo if case[0] == "alternating"]
     assert len(alternating) == 3 * 1440 + 3 and all(s != 1.0 for _, (s,), _ in alternating)
