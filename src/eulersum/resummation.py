@@ -28,9 +28,9 @@ from .errors import DomainError, EulerSumError, InvalidConfig, NoEulerSum, Preci
 # sum stops and in what order it adds, and with that its roundoff, on which
 # the verdicts of the zeta-mix benchmark's precision-limited
 # `zeta --s -3.33` and `--s -3.15` depend (ROADMAP item 4, the roundoff
-# floor).  Blocks start at the sequence's start_index for every t, so a
-# block kept in a sequence's _kept holds the same terms at every t and
-# reading it back leaves the order of addition unchanged.
+# floor).  Blocks start at n = 1 for every t, so a block kept in a
+# sequence's _kept holds the same terms at every t and reading it back
+# leaves the order of addition unchanged.
 _BLOCK_MIN = 128
 _BLOCK_MAX = 8192
 _OFFSETS = np.arange(_BLOCK_MAX, dtype=np.float64)  # n + _OFFSETS[:block] is a block's index, exact for n < 2^53
@@ -66,9 +66,10 @@ _NORMAL_MIN = sys.float_info.min  # the least positive normal double
 class CoefficientSequence:
     """Vectorised term oracle defining a (possibly divergent) series sum(a_n).
 
-    ``term_block`` maps an ndarray of integer-valued float indices
-    n >= start_index to the coefficients a_n, and ``bound`` C and
-    ``growth_hint`` gamma state |a_n| <= C n^gamma for all n >= 1.
+    Every series starts at n = 1 (an a_0 adds to the limit, Abel summation
+    being linear): ``term_block`` maps an ndarray of integer-valued float
+    indices n >= 1 to the coefficients a_n, and ``bound`` C and
+    ``growth_hint`` gamma state |a_n| <= C n^gamma for each of them.
     abel_eval sums the prefix whose tail _certified_terms certifies from them.
     It keeps read-only copies of the blocks a_n of the first _KEPT_TERMS
     terms in ``_kept``, in block order, which neither equality, hashing nor
@@ -78,12 +79,9 @@ class CoefficientSequence:
     term_block: Callable[[np.ndarray], np.ndarray]
     growth_hint: float
     bound: float
-    start_index: int = 0
     _kept: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.start_index < 0 or int(self.start_index) != self.start_index:
-            raise DomainError("start_index must be a non-negative integer")
         if not 0.0 <= self.bound < math.inf:
             raise DomainError("bound must be finite and non-negative")
 
@@ -230,9 +228,9 @@ def abel_eval(seq: CoefficientSequence, t: float, tol: float) -> AbelEvaluation:
     adding the block sums with math.fsum.  Its roundoff_bound is
     eps * sum(|a_n t^n|), gradual underflow aside.
 
-    TailNotBounded is raised before any block is summed when n <= N holds
-    more than DEFAULT_TERM_BUDGET terms, and when the coefficients
-    overflow; t outside [0, 1) raises TNotInUnitInterval.
+    TailNotBounded is raised before any block is summed when N exceeds
+    DEFAULT_TERM_BUDGET, and when the coefficients overflow; t outside
+    [0, 1) raises TNotInUnitInterval.
     """
     start = time.perf_counter()
     if not 0.0 < tol < math.inf:
@@ -240,18 +238,15 @@ def abel_eval(seq: CoefficientSequence, t: float, tol: float) -> AbelEvaluation:
     check_t(t)
     gamma = seq.growth_hint
     last = _certified_terms(seq.bound, gamma, t, tol)
-    if last - seq.start_index >= DEFAULT_TERM_BUDGET:  # with a_0 the prefix is one term longer
-        raise _over_budget(tol, t)
-
     block_sums, magnitude = [], 0.0  # magnitude: sum(|a_n| t^n)
-    n = seq.start_index
+    n = 1
     block_size = _BLOCK_MIN
     powers = np.power(t, np.arange(_BLOCK_MIN, dtype=np.float64))  # powers[j] = t^j
     products = np.empty(_BLOCK_MAX)
     kept = seq._kept
 
     for b in itertools.count():
-        block = min(block_size, DEFAULT_TERM_BUDGET - (n - seq.start_index))
+        block = min(block_size, DEFAULT_TERM_BUDGET - (n - 1))
         block_size = min(2 * block_size, _BLOCK_MAX)
         if block > powers.size:
             powers = np.concatenate((powers, np.power(t, np.arange(powers.size, block, dtype=np.float64))))
@@ -272,14 +267,14 @@ def abel_eval(seq: CoefficientSequence, t: float, tol: float) -> AbelEvaluation:
         # A non-finite a_n makes the sum nan or inf, since each t^n lies in [0, 1].
         if not math.isfinite(block_sum) and not np.all(np.isfinite(coeffs)):
             raise DomainError(f"non-finite coefficient near n={n}")
-        if b == len(kept) and n + block - seq.start_index <= _KEPT_TERMS:
+        if b == len(kept) and n + block - 1 <= _KEPT_TERMS:
             coeffs = coeffs.copy()  # term_block may hand out a buffer that it reuses
             coeffs.flags.writeable = False
             kept.append(coeffs)
         block_sums.append(block_sum)
         n += block
         if n > last:
-            return AbelEvaluation(t=t, value=math.fsum(block_sums), terms_used=n - seq.start_index,
+            return AbelEvaluation(t=t, value=math.fsum(block_sums), terms_used=n - 1,
                                   tail_bound=_certified_tail(seq.bound, gamma, n, t),
                                   wall_ms=(time.perf_counter() - start) * 1e3,
                                   roundoff_bound=sys.float_info.epsilon * magnitude)
@@ -301,7 +296,7 @@ def euler_limit(seq: CoefficientSequence, cfg: Optional[EulerLimitConfig] = None
     1.05 and within 5 % of each other, as for f ~ A u^-alpha (the message
     gives alpha = log(last ratio) / log(1/ratio)); or the extrapolants more
     than double in magnitude three times in a row from a nonzero first one
-    (f(0) = 0 from n = 1 is no start).  A large f(t_k) is no such evidence.
+    (f(0) = 0 is no start) to above 10.  A large f(t_k) is no such evidence.
     A schedule that ends at k_max, at saturation or at the term budget
     returns the last extrapolant unconverged, its error estimate the last
     extrapolant difference (inf with one point).  Each exception, and any
@@ -350,7 +345,7 @@ def euler_limit(seq: CoefficientSequence, cfg: Optional[EulerLimitConfig] = None
                              evaluations=evaluations)
         if len(extrapolants) >= 4:
             m0, m1, m2, m3 = (abs(q) for q in extrapolants[-4:])
-            if 0.0 < 2.0 * m0 < m1 and 2.0 * m1 < m2 and 2.0 * m2 < m3 and m3 > 10.0 * max(1.0, abs(evaluations[0].value)):
+            if 0.0 < 2.0 * m0 < m1 and 2.0 * m1 < m2 and 2.0 * m2 < m3 and m3 > 10.0:
                 raise NoEulerSum(
                     f"extrapolants grew {m0:.3e} -> {m3:.3e} over three steps; "
                     "no finite t -> 1 limit",

@@ -234,7 +234,7 @@ def well_action_sequence(x: float, p: int) -> CoefficientSequence:
     def term_block(n: np.ndarray) -> np.ndarray:
         return (n.astype(np.int64) & 1) * scale * np.sin(n * x) * n ** gamma
 
-    return CoefficientSequence(term_block, growth_hint=gamma, bound=scale, start_index=1)
+    return CoefficientSequence(term_block, growth_hint=gamma, bound=scale)
 
 
 # Within a block, t^(2j) = hi[j // _STRIDE] * lo[j % _STRIDE]: each row keeps

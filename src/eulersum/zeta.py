@@ -46,7 +46,7 @@ def alternating_sequence(s: float) -> CoefficientSequence:
     def term_block(idx: np.ndarray) -> np.ndarray:
         return by_parity.take(idx.astype(np.int64) & 1) * idx ** -s
 
-    return CoefficientSequence(term_block, growth_hint=-s, bound=abs(pref), start_index=1)
+    return CoefficientSequence(term_block, growth_hint=-s, bound=abs(pref))
 
 
 def plain_sequence(s: float) -> CoefficientSequence:
@@ -56,7 +56,7 @@ def plain_sequence(s: float) -> CoefficientSequence:
     Euler sum; feeding it to euler_limit exercises the honest-failure
     path.  The bound is 1: |a_n| <= n^-s.
     """
-    return CoefficientSequence(lambda idx: idx ** -s, growth_hint=-s, bound=1.0, start_index=1)
+    return CoefficientSequence(lambda idx: idx ** -s, growth_hint=-s, bound=1.0)
 
 
 def zeta_direct(s: float, tol: float) -> float:

@@ -428,7 +428,7 @@ def test_zeta_stops_where_its_term_budget_runs_out(tmp_path, monkeypatch, capsys
     # floor stops the alternating one first), so the run sums
     # t/1 + t^2/2 + ... = -ln(1 - t), which no growth rule stops
     made = counting_abel_eval(monkeypatch)
-    seq = eulersum.resummation.CoefficientSequence(lambda n: 1.0 / n, growth_hint=0.0, bound=1.0, start_index=1)
+    seq = eulersum.resummation.CoefficientSequence(lambda n: 1.0 / n, growth_hint=0.0, bound=1.0)
     monkeypatch.setattr(eulersum.harness, "alternating_sequence", lambda s: seq)
     out = tmp_path / "z.csv"
     assert main(["zeta", "--s", "0", "--tol", "1e-9", "--output", str(out)]) == 2
@@ -679,7 +679,7 @@ def recording_well_pass(monkeypatch):
     def recorded_sequence(x, p):
         seq = sequence(x, p)
         return eulersum.resummation.CoefficientSequence(
-            lambda n: blocks.append(n.size) or seq.term_block(n), seq.growth_hint, seq.bound, seq.start_index)
+            lambda n: blocks.append(n.size) or seq.term_block(n), seq.growth_hint, seq.bound)
 
     def recorded_pass(*args):
         try:

@@ -46,33 +46,33 @@ def lead_term(c, gamma, n, t):
 
 def alternating_unit():
     # -1, +1, -1, +1, ... from n = 1
-    return CoefficientSequence(lambda n: (-1.0) ** n, growth_hint=0.0, bound=1.0, start_index=1)
+    return CoefficientSequence(lambda n: (-1.0) ** n, growth_hint=0.0, bound=1.0)
 
 
 def coefficients(seq, n_terms):
-    return seq.term_block(np.arange(seq.start_index, seq.start_index + n_terms, dtype=np.float64))
+    return seq.term_block(np.arange(1.0, 1.0 + n_terms))
 
 
 def brute_partial(seq, t, n_terms):
-    return math.fsum(a * t ** n for n, a in enumerate(coefficients(seq, n_terms).tolist(), seq.start_index))
+    return math.fsum(a * t ** n for n, a in enumerate(coefficients(seq, n_terms).tolist(), 1))
 
 
 def abs_scale(seq, t, n_terms):
     """sum |a_n| t^n over the first n_terms terms: the roundoff scale of f(t)."""
-    n = np.arange(seq.start_index, seq.start_index + n_terms, dtype=np.float64)
+    n = np.arange(1.0, 1.0 + n_terms)
     return math.fsum(np.abs(coefficients(seq, n_terms)) * t ** n)
 
 
 def test_alternating_closed_form_at_half():
     # sum (-1)^(n+1) t^n = t/(1+t) = 1/3 at t = 0.5
-    seq = CoefficientSequence(lambda n: (-1.0) ** (n + 1), growth_hint=0.0, bound=1.0, start_index=1)
+    seq = CoefficientSequence(lambda n: (-1.0) ** (n + 1), growth_hint=0.0, bound=1.0)
     ev = abel_eval(seq, 0.5, 1e-10)
     assert ev.value == pytest.approx(1.0 / 3.0, abs=1e-10)
 
 
 def test_square_well_growth_against_brute_force():
     # a_n = n^2
-    seq = CoefficientSequence(lambda n: n ** 2, growth_hint=2.0, bound=1.0, start_index=1)
+    seq = CoefficientSequence(lambda n: n ** 2, growth_hint=2.0, bound=1.0)
     ev = abel_eval(seq, 0.9, 1e-8)
     oracle = math.fsum(n ** 2 * 0.9 ** n for n in range(1, 501))
     assert ev.value == pytest.approx(oracle, abs=1e-8)
@@ -86,14 +86,14 @@ def test_t_outside_unit_interval_rejected(t):
 
 def test_tail_bound_within_tolerance_on_success():
     # a_n = (-1)^(n+1) n
-    seq = CoefficientSequence(lambda n: (-1.0) ** (n + 1) * n, growth_hint=1.0, bound=1.0, start_index=1)
+    seq = CoefficientSequence(lambda n: (-1.0) ** (n + 1) * n, growth_hint=1.0, bound=1.0)
     ev = abel_eval(seq, 0.97, 1e-9)
     assert 0.0 <= ev.tail_bound <= 1e-9
 
 
 def test_value_matches_brute_partial_sum_with_same_term_count():
     # a_n = (-1)^(n+1) n^0.5
-    seq = CoefficientSequence(lambda n: (-1.0) ** (n + 1) * n ** 0.5, growth_hint=0.5, bound=1.0, start_index=1)
+    seq = CoefficientSequence(lambda n: (-1.0) ** (n + 1) * n ** 0.5, growth_hint=0.5, bound=1.0)
     for t in (0.0, 0.3, 0.9, 0.99):
         ev = abel_eval(seq, t, 1e-8)
         oracle = brute_partial(seq, t, ev.terms_used)
@@ -129,14 +129,14 @@ def test_euler_limit_all_ones_has_no_sum():
 
 def test_euler_limit_one_two_three_has_no_sum():
     # a_n = n
-    naturals = CoefficientSequence(lambda n: n, growth_hint=1.0, bound=1.0, start_index=1)
+    naturals = CoefficientSequence(lambda n: n, growth_hint=1.0, bound=1.0)
     with pytest.raises(NoEulerSum):
         euler_limit(naturals)
 
 
 def test_euler_limit_minus_one_twelfth():
     # -1/3, +2/3, -3/3, +4/3, ...: |a_n| = n / 3
-    seq = CoefficientSequence(lambda n: (-1.0) ** n * n / 3.0, growth_hint=1.0, bound=1.0 / 3.0, start_index=1)
+    seq = CoefficientSequence(lambda n: (-1.0) ** n * n / 3.0, growth_hint=1.0, bound=1.0 / 3.0)
     res = euler_limit(seq)
     assert res.converged
     assert res.value == pytest.approx(-1.0 / 12.0, abs=1e-7)
@@ -145,30 +145,30 @@ def test_euler_limit_minus_one_twelfth():
 def test_euler_limit_of_convergent_geometric():
     res = euler_limit(geometric(0.5))
     assert res.converged
-    assert res.value == pytest.approx(2.0, abs=1e-7)
+    assert res.value == pytest.approx(1.0, abs=1e-7)
 
 
-# Case ids name term, start, hint and expected sum, as before the bound column.
+# Case ids name term, first index (now 1 for every series), hint and
+# expected sum, as before the bound column.
 @pytest.mark.parametrize(
-    "term,start,hint,bound,expected",
+    "term,hint,bound,expected",
     [
-        pytest.param(lambda n: 0.5 ** n, 0, 0.0, 0.5, 2.0,
-                     id="<lambda>-0-0.0-2.0"),
+        pytest.param(lambda n: 0.5 ** n, 0.0, 0.5, 1.0,
+                     id="<lambda>-1-0.0-1.0"),
         # 1/n! by lgamma: math.factorial(n) overflows a float past n = 170
-        pytest.param(lambda n: np.exp(-np.array([math.lgamma(k + 1.0) for k in n])), 0, 0.0, 1.0, math.e,
-                     id=f"<lambda>-0-0.0-{math.e}"),
+        pytest.param(lambda n: np.exp(-np.array([math.lgamma(k + 1.0) for k in n])), 0.0, 1.0, math.e - 1.0,
+                     id=f"<lambda>-1-0.0-{math.e - 1.0}"),
         # a_n = (-1)^(n+1) / n^2
-        pytest.param(lambda n: (-1.0) ** (n + 1) / n ** 2, 1, -2.0, 1.0, math.pi ** 2 / 12.0,
+        pytest.param(lambda n: (-1.0) ** (n + 1) / n ** 2, -2.0, 1.0, math.pi ** 2 / 12.0,
                      id=f"<lambda>-1--2.0-{math.pi ** 2 / 12.0}"),
     ],
 )
-def test_consistency_with_ordinary_sums(term, start, hint, bound, expected):
-    seq = CoefficientSequence(term, growth_hint=hint, bound=bound, start_index=start)
-    res = euler_limit(seq)
+def test_consistency_with_ordinary_sums(term, hint, bound, expected):
+    res = euler_limit(CoefficientSequence(term, growth_hint=hint, bound=bound))
     assert res.converged
     assert abs(res.value - expected) <= 10 * EulerLimitConfig().tolerance
-    if start == 0:  # f(t_0 = 0) is a_0, the first coefficient term_block gives
-        assert res.evaluations[0].value == term(np.zeros(1))[0]
+    # f(t_0 = 0) sums no term: there is no a_0
+    assert (res.evaluations[0].t, res.evaluations[0].value) == (0.0, 0.0)
 
 
 def test_schedule_independence():
@@ -232,7 +232,7 @@ def test_term_budget_runs_out_mid_schedule():
     # growth rule: the walk goes on until the prefix at t_19 = 1 - 2^-19
     # (at tol 1e-9, inner tol 1e-11) would pass the budget, while t_18 needs
     # under half of it
-    seq = CoefficientSequence(lambda n: 1.0 / n, growth_hint=0.0, bound=1.0, start_index=1)
+    seq = CoefficientSequence(lambda n: 1.0 / n, growth_hint=0.0, bound=1.0)
     with pytest.raises(TailNotBounded, match=re.escape(f"at t={1.0 - 2.0 ** -19!r}")) as excinfo:
         euler_limit(seq, EulerLimitConfig(tolerance=1e-9))
     evs = excinfo.value.evaluations
@@ -318,27 +318,11 @@ def test_abel_eval_gives_up_once_the_budget_cannot_close_the_bound():
     assert blocks == []
 
 
-def test_abel_eval_counts_a0_in_the_term_budget():
-    # n <= N = DEFAULT_TERM_BUDGET from n = 0 is one term past the budget
-    blocks = []
-
-    def ones(n):
-        blocks.append(n.size)
-        return np.ones_like(n)
-
-    t = 1.0 - 2.0 ** -22
-    tol = _certified_tail(1.0, 0.0, DEFAULT_TERM_BUDGET + 1, t)
-    assert _certified_terms(1.0, 0.0, t, tol) == DEFAULT_TERM_BUDGET
-    with pytest.raises(TailNotBounded, match=f"within {DEFAULT_TERM_BUDGET} terms"):
-        abel_eval(CoefficientSequence(ones, growth_hint=0.0, bound=1.0), t, tol)
-    assert blocks == []
-
-
 def test_abel_eval_reports_coefficients_that_overflow():
-    # Python's 2.0 ** 1024 raises OverflowError in the block that starts at n = 896
-    # the stated bound is false, and the prefix it certifies runs past n = 896
+    # Python's 2.0 ** 1024 raises OverflowError in the block that starts at n = 897
+    # the stated bound is false, and the prefix it certifies runs past n = 897
     seq = CoefficientSequence(lambda n: np.array([2.0 ** int(m) for m in n]), growth_hint=0.0, bound=1.0)
-    with pytest.raises(TailNotBounded, match=r"^coefficients overflow double precision near n=896;"):
+    with pytest.raises(TailNotBounded, match=r"^coefficients overflow double precision near n=897;"):
         abel_eval(seq, 0.99, 1e-10)
 
 
@@ -351,7 +335,7 @@ def test_abel_eval_tail_bound_covers_the_first_omitted_term():
     # t^n underflows to 0 under |a_n| = |pref| n^60 well before the tail is below tol
     seq, t, tol = alternating_sequence(-60.0), 0.75, 1e-300
     ev = abel_eval(seq, t, tol)
-    first_omitted = lead_term(seq.bound, seq.growth_hint, seq.start_index + ev.terms_used, t)
+    first_omitted = lead_term(seq.bound, seq.growth_hint, 1 + ev.terms_used, t)
     assert float(first_omitted) <= ev.tail_bound <= tol
 
 
@@ -388,20 +372,15 @@ def test_bad_config_rejected(kwargs):
         EulerLimitConfig(**kwargs)
 
 
-def test_negative_start_index_rejected():
-    with pytest.raises(DomainError):
-        CoefficientSequence(np.ones_like, growth_hint=0.0, bound=1.0, start_index=-1)
-
-
 @pytest.mark.parametrize("bound", [-1.0, -1e-300, math.inf, math.nan])
 def test_bound_must_be_finite_and_non_negative(bound):
     with pytest.raises(DomainError):
         CoefficientSequence(np.ones_like, growth_hint=0.0, bound=bound)
 
 
-def block_ends(start):
-    """The ends n (exclusive) of abel_eval's blocks from n = start."""
-    n, size = start, _BLOCK_MIN
+def block_ends():
+    """The ends n (exclusive) of abel_eval's blocks from n = 1."""
+    n, size = 1, _BLOCK_MIN
     while True:
         n, size = n + size, min(2 * size, _BLOCK_MAX)
         yield n
@@ -427,7 +406,7 @@ def test_stated_bound_holds_and_sets_the_prefix(seq, n0, size, t, tol):
     assert np.all(np.abs(seq.term_block(n)) <= seq.bound * n ** seq.growth_hint)
     ev = abel_eval(seq, t, tol)
     last = _certified_terms(seq.bound, seq.growth_hint, t, tol)
-    assert ev.terms_used == next(n for n in block_ends(seq.start_index) if n > last) - seq.start_index
+    assert ev.terms_used == next(n for n in block_ends() if n > last) - 1
     assert ev.tail_bound <= tol
 
 
@@ -480,7 +459,7 @@ def test_truncation_matches_the_unnormalised_coefficients(seq, t, tol, terms, ta
     seq = seq()
     ev = abel_eval(seq, t, tol)
     assert ev.terms_used == terms
-    n = np.arange(1.0, seq.start_index + terms)
+    n = np.arange(1.0, 1.0 + terms)
     estimate = np.max(np.abs(seq.term_block(n)) / n ** seq.growth_hint)
     assert ev.tail_bound * (estimate / seq.bound) == pytest.approx(tail, rel=1e-15, abs=0.0)
 
@@ -490,15 +469,15 @@ def test_truncation_matches_the_unnormalised_coefficients(seq, t, tol, terms, ta
 
 def fresh(seq):
     """The same series as ``seq``, with nothing kept."""
-    return CoefficientSequence(seq.term_block, seq.growth_hint, seq.bound, seq.start_index)
+    return CoefficientSequence(seq.term_block, seq.growth_hint, seq.bound)
 
 
-def cosines_from_zero(gamma):
-    # a_n = cos(n) max(n, 1)^gamma from n = 0, written into one buffer that every call reuses
+def cosines(gamma):
+    # a_n = cos(n) n^gamma, written into one buffer that every call reuses
     buffer = np.empty(_BLOCK_MAX)
 
     def term_block(n):
-        return np.multiply(np.cos(n), np.maximum(n, 1.0) ** gamma, out=buffer[:n.size])
+        return np.multiply(np.cos(n), n ** gamma, out=buffer[:n.size])
 
     return CoefficientSequence(term_block, growth_hint=gamma, bound=1.0)
 
@@ -508,12 +487,12 @@ def cosines_from_zero(gamma):
            st.floats(min_value=-3.0, max_value=3.0).map(plain_sequence),
            st.builds(well_action_sequence, st.floats(min_value=1e-3, max_value=math.pi - 1e-3),
                      st.integers(min_value=-1, max_value=2)),
-           st.sampled_from([0.0, -1.5, 2.0]).map(cosines_from_zero)),
+           st.sampled_from([0.0, -1.5, 2.0]).map(cosines)),
        ts=st.lists(st.floats(min_value=0.0, max_value=1.0 - 2.0 ** -14), min_size=2, max_size=5),
        tol=st.floats(min_value=1e-12, max_value=1e-4))
 @settings(max_examples=60, deadline=None)
 @example(seq=alternating_sequence(-1.0), ts=[1.0 - 2.0 ** -14, 0.0, 0.5], tol=1e-10)
-@example(seq=cosines_from_zero(0.0), ts=[0.999, 0.5, 0.999], tol=1e-10)
+@example(seq=cosines(0.0), ts=[0.999, 0.5, 0.999], tol=1e-10)
 def test_kept_blocks_give_what_a_fresh_sequence_gives(seq, ts, tol):
     for t in ts:
         ev, new = abel_eval(seq, t, tol), abel_eval(fresh(seq), t, tol)
@@ -559,7 +538,7 @@ def test_a_non_finite_coefficient_raises_on_every_call():
     # +inf at n = 100 gives a nan product even where t^n is 0
     seq = CoefficientSequence(lambda n: np.where(n == 100, np.inf, 1.0), growth_hint=0.0, bound=1.0)
     for t in (0.9, 0.9, 0.0, 1e-4):
-        with pytest.raises(DomainError, match=r"^non-finite coefficient near n=0$"):
+        with pytest.raises(DomainError, match=r"^non-finite coefficient near n=1$"):
             abel_eval(seq, t, 1e-10)
     assert seq._kept == []
 
@@ -593,7 +572,7 @@ def total_terms(evaluations) -> int:
 def well_kernel(x, y):
     # (2/pi) sin(nx) sin(ny): the square well's completeness kernel at (x, y)
     return CoefficientSequence(lambda n: (2.0 / math.pi) * np.sin(n * x) * np.sin(n * y),
-                               growth_hint=0.0, bound=2.0 / math.pi, start_index=1)
+                               growth_hint=0.0, bound=2.0 / math.pi)
 
 
 @given(s=st.floats(min_value=-3.0, max_value=0.9))

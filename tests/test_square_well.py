@@ -352,7 +352,7 @@ def test_well_action_sequence_coefficients(p):
     overlap = [math.sqrt(2.0 / PI) * (4.0 / k ** 3 if k % 2 else 0.0) for k in range(1, 40)]
     expected = (n * n / 2.0) ** p * np.array(overlap) * np.sqrt(2.0 / PI) * np.sin(n * x)
     np.testing.assert_allclose(seq.term_block(n), expected, rtol=1e-14, atol=0.0)
-    assert seq.start_index == 1 and seq.growth_hint == 2 * p - 3
+    assert seq.growth_hint == 2 * p - 3
     for bad in (0.0, PI, -1.0, 5.0):
         with pytest.raises(DomainError):
             well_action_sequence(bad, p)
@@ -397,5 +397,5 @@ def test_well_action_pass_refuses_bad_input():
             well_action_evaluations(1.0, 0, [0.5, t], 1e-10)
     with pytest.raises(DomainError):
         well_action_evaluations(0.0, 0, [0.5], 1e-10)
-    # t = 0 sums no term: f(0) = 0, start_index being 1
+    # t = 0 sums no term: f(0) = 0, the series starting at n = 1
     assert well_action_evaluations(1.0, 1, [0.0], 1e-10)[0].value == 0.0

@@ -259,7 +259,7 @@ def test_prefactor_identity(s):
 def test_alternating_sequence_terms():
     seq = alternating_sequence(0.0)
     # prefactor 1/(1-2) = -1 makes the series -1, +1, -1, ...
-    assert seq.growth_hint == 0.0 and seq.start_index == 1
+    assert seq.growth_hint == 0.0
     block = seq.term_block(np.array([1.0, 2.0, 3.0]))
     assert block.tolist() == [-1.0, 1.0, -1.0]
 
