@@ -351,10 +351,10 @@ def _final_within_tol(config: RunConfig, rows: list):
     return rows, final.value, final.abs_error, verdict
 
 
-def _monotone_tail(rows: list) -> bool:
-    """The errors fall strictly over the last four steps (all, if fewer)."""
+def _monotone_tail(rows: list, floor: float) -> bool:
+    """The last error is within ``floor``, or the errors fall strictly over the last four steps (all, if fewer)."""
     tail = [r.abs_error for r in rows if r.abs_error is not None][-5:]
-    return len(tail) >= 2 and all(b < a for a, b in zip(tail, tail[1:]))
+    return len(tail) >= 2 and (tail[-1] <= floor or all(b < a for a, b in zip(tail, tail[1:])))
 
 
 def _run_zeta(config: RunConfig):
@@ -408,7 +408,7 @@ def _run_action(config: RunConfig):
         # exp(-x^2) is 0 long before 1.5 x^2 overflows (|x| ~ 1.1e154) into inf * 0
         reference = (1.0 - 1.5 * x * x if p else 1.0) * math.exp(-x * x) if abs(x) < 1e154 else 0.0
         rows = _walk(config, lambda t: float(np.dot(coeffs, t ** powers)), reference)
-    verdict = "approaching" if _monotone_tail(rows) else "not-approaching"
+    verdict = "approaching" if _monotone_tail(rows, tol) else "not-approaching"
     return rows, rows[-1].value, rows[-1].abs_error, verdict
 
 

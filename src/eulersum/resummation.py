@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import sys
 import time
 from dataclasses import dataclass, field
@@ -84,6 +85,8 @@ class CoefficientSequence:
     def __post_init__(self):
         if not 0.0 <= self.bound < math.inf:
             raise DomainError("bound must be finite and non-negative")
+        if not math.isfinite(self.growth_hint):
+            raise DomainError("growth_hint must be finite")
 
 
 @dataclass(frozen=True)
@@ -109,8 +112,8 @@ class EulerLimitConfig:
     def __post_init__(self):
         if not 0.0 < self.ratio < 1.0:
             raise InvalidConfig("ratio must lie in (0, 1)")
-        if self.k_max < 1:
-            raise InvalidConfig("k_max must be at least 1")
+        if not isinstance(self.k_max, numbers.Integral) or self.k_max < 1:
+            raise InvalidConfig("k_max must be an integer of at least 1")
         if not 0.0 < self.tolerance < math.inf:
             raise InvalidConfig("tolerance must be finite and positive")
 
@@ -195,10 +198,11 @@ def _certified_terms(c: float, gamma: float, t: float, tol: float) -> int:
     lo, hi, step, guess = 0, DEFAULT_TERM_BUDGET, 1, 1
     if gamma <= 0.0:  # target < ln t < 0 here, since ok(0) failed
         ln_t, target = math.log(t), math.log(tol) + math.log1p(-t) - math.log(c)
-        v = min(math.log(DEFAULT_TERM_BUDGET + 1.0), max(0.0, math.log(target / ln_t)))
+        v_max = math.log(DEFAULT_TERM_BUDGET + 1.0)
+        v = min(v_max, max(0.0, math.log(target / ln_t)))
         for _ in range(100):
             dv = (gamma * v + math.exp(v) * ln_t - target) / (gamma + math.exp(v) * ln_t)
-            v -= dv
+            v = min(v_max, max(0.0, v - dv))  # gamma v can overflow (gamma < -1e307), sending v - dv to -inf
             if dv * math.exp(v) < 0.5:
                 break
         guess = min(max(math.ceil(math.exp(v)) - 1, 1), hi)

@@ -444,8 +444,8 @@ def test_zeta_stops_where_its_term_budget_runs_out(tmp_path, monkeypatch, capsys
     [
         # tol (1 - t) / c underflows to 0 for the row's prefix search
         (["well-delta", "--tol", "1e-320"], 0, "approaching"),
-        # a gamma > 0 tail that a single term closes
-        (["osc-hamiltonian", "--tol", "5e36"], 2, "not-approaching"),
+        # a gamma > 0 tail that a single term closes; tol/100 covers every row's error
+        (["osc-hamiltonian", "--tol", "5e36"], 0, "approaching"),
     ],
 )
 def test_extreme_tolerances_end_in_a_verdict(tmp_path, argv, status, verdict, capsys):
@@ -1257,6 +1257,14 @@ def test_cli_zeta_at_extreme_s_reports_without_numpy_warnings(tmp_path, capsys, 
     assert summary in captured.out and captured.err == ""
 
 
+@pytest.mark.parametrize("argv", [["--s", "1e308"], ["--plain", "--s", "1e308"], ["--s", "5e307"]])
+def test_cli_zeta_with_a_growth_hint_past_the_double_range_converges(tmp_path, capsys, argv):
+    # -s ln(N + 1) overflows in the prefix search; zeta(s) = 1 to double precision
+    assert main(["zeta", *argv, "--output", str(tmp_path / "z.csv")]) == 0
+    captured = capsys.readouterr()
+    assert "value=1 error_estimate=0 verdict=converged" in captured.out and captured.err == ""
+
+
 def test_cli_plain_zeta_far_left_overflows_before_a_growth_rule_fires(tmp_path, capsys):
     # n^80 overflows near n = 7100, in the fourth evaluation (t = 0.875),
     # before the extrapolants have grown for three steps: DomainError, not
@@ -1270,12 +1278,23 @@ def test_cli_plain_zeta_far_left_overflows_before_a_growth_rule_fires(tmp_path, 
 @pytest.mark.parametrize("x", ["1.1e154", "-1e200", "1.5e308", "-1.7e308"])
 def test_cli_osc_action_at_huge_x_reports_a_zero_reference(tmp_path, capsys, subcommand, x):
     # x^2 overflows: phi_n(x) and exp(-x^2) are 0, and so is the reference;
-    # from |x| ~ 1.27e308 sqrt(2) x overflows too
+    # from |x| ~ 1.27e308 sqrt(2) x overflows too.  Exact rows are approaching.
     out = tmp_path / "o.csv"
-    assert main([subcommand, f"--x={x}", "--output", str(out)]) == 2
+    assert main([subcommand, f"--x={x}", "--output", str(out)]) == 0
     captured = capsys.readouterr()
-    assert "value=0 error_estimate=0 verdict=not-approaching" in captured.out and captured.err == ""
+    assert "value=0 error_estimate=0 verdict=approaching" in captured.out and captured.err == ""
     assert {(r.value, r.reference, r.abs_error) for r in read_rows(str(out))} == {(0.0, 0.0, 0.0)}
+
+
+@pytest.mark.parametrize("x", ["5", "10", "40"])
+def test_cli_osc_rows_within_their_certified_tolerance_are_approaching(tmp_path, capsys, x):
+    # the last rows sit at roundoff (errors 7.7e-13 and 4.1e-13 at x = 5 and 10)
+    # or on the reference 0 (x = 40) and need not fall further: each is
+    # certified to tol/100 = 1e-10 only
+    out = tmp_path / "o.csv"
+    assert main(["osc-delta", "--x", x, "--output", str(out)]) == 0
+    assert "verdict=approaching" in capsys.readouterr().out
+    assert read_rows(str(out))[-1].abs_error <= 1e-10
 
 
 def test_sweep_grid_row_cap(monkeypatch):

@@ -365,6 +365,7 @@ def test_abel_eval_rejects_non_finite_or_non_positive_tol(tol):
         {"tolerance": 0.0},
         {"tolerance": math.nan},
         {"tolerance": math.inf},
+        {"k_max": 40.0},
     ],
 )
 def test_bad_config_rejected(kwargs):
@@ -376,6 +377,12 @@ def test_bad_config_rejected(kwargs):
 def test_bound_must_be_finite_and_non_negative(bound):
     with pytest.raises(DomainError):
         CoefficientSequence(np.ones_like, growth_hint=0.0, bound=bound)
+
+
+@pytest.mark.parametrize("growth_hint", [-math.inf, math.inf, math.nan])
+def test_growth_hint_must_be_finite(growth_hint):
+    with pytest.raises(DomainError):
+        CoefficientSequence(np.ones_like, growth_hint=growth_hint, bound=1.0)
 
 
 def block_ends():
@@ -677,6 +684,14 @@ def test_certified_terms_refuses_a_prefix_past_the_budget():
     with pytest.raises(TailNotBounded, match=re.escape(f"within {DEFAULT_TERM_BUDGET} terms at t={t!r}")):
         _certified_terms(8.0 / math.pi, -3.0, t, 1e-10)
     assert _certified_terms(8.0 / math.pi, -3.0, 1.0 - 2.0 ** -38, 1e-10) <= DEFAULT_TERM_BUDGET
+
+
+@pytest.mark.parametrize("gamma", [-1e308, -5e307, -2e307])
+@pytest.mark.parametrize("t", [0.5, 0.75, 0.999])
+def test_certified_terms_past_the_double_range_of_gamma_ln_n(gamma, t):
+    # gamma ln(N + 1) overflows to -inf in Newton's step for the guess
+    least = next(n for n in range(DEFAULT_TERM_BUDGET) if _certified_tail(1.0, gamma, n + 1, t) <= 1e-10)
+    assert _certified_terms(1.0, gamma, t, 1e-10) == least
 
 
 def test_certified_prefixes_of_steep_eigen_series_are_found():

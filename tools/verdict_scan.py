@@ -52,10 +52,12 @@ import mpmath
 import bench_record
 
 GRID_TOLS = (1e-8, 1e-10, 1e-12)
-# Beside the pole, where the prefactor cancels, and below the grid.
-ALTERNATING_S = (1.0 - 1e-7, 1.0 + 1e-7, -5.0)
-# The plain series right of the grid below, where it converges (slowly).
-PLAIN_S = (3.0, 2.5, 2.0, 1.5, 1.1, 1.02)
+# Beside the pole, where the prefactor cancels, below the grid, and at
+# s = 1e308, whose growth hint -s times ln N leaves the double range.
+ALTERNATING_S = (1.0 - 1e-7, 1.0 + 1e-7, -5.0, 1e308)
+# The plain series right of the grid below, where it converges (slowly
+# near 1), and at s = 1e308 as above.
+PLAIN_S = (3.0, 2.5, 2.0, 1.5, 1.1, 1.02, 1e308)
 PLAIN_TOL = 1e-8
 WELL_P = (0, 1, 2, 3)
 WELL_X = (0.3, 1.0, 2.0)
@@ -74,8 +76,8 @@ def cases() -> list:
 
 def limit_outcome(kind: str, params: list, tol: float) -> dict:
     """One case's verdict, the value and bound it states (None where it
-    states none), its points, Abel terms and wall time."""
-    from eulersum.errors import EulerSumError
+    states none), its points, Abel terms and wall time.  A case that
+    raises is classed by its exception's name."""
     from eulersum.resummation import EulerLimitConfig, euler_limit
     from eulersum.square_well import well_action_sequence
     from eulersum.zeta import alternating_sequence, plain_sequence
@@ -86,8 +88,8 @@ def limit_outcome(kind: str, params: list, tol: float) -> dict:
         res = euler_limit(sequence(*params), EulerLimitConfig(tolerance=tol))
         verdict, value, bound = ("converged" if res.converged else "unconverged"), res.value, res.error_estimate
         evaluations = res.evaluations
-    except EulerSumError as exc:
-        verdict, evaluations = type(exc).__name__, exc.evaluations
+    except Exception as exc:  # the scan goes on: every failure is a class of its own
+        verdict, evaluations = type(exc).__name__, getattr(exc, "evaluations", [])
         value, bound = getattr(exc, "value", None), getattr(exc, "error_estimate", None)
     return {"verdict": verdict, "value": value, "error_estimate": bound, "points": len(evaluations),
             "terms": sum(e.terms_used for e in evaluations), "wall_ms": (time.perf_counter() - start) * 1e3}
