@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import gc
 import json
 import math
 import os
@@ -22,9 +23,9 @@ import re
 import sys
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import chain, islice, repeat
-from operator import eq, itemgetter
+from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -186,20 +187,38 @@ _CHUNK = 4096
 
 def _format_column(name: str, col, none: str) -> list:
     """Cells as text: k by str, None as ``none``, floats by repr so parsing
-    round-trips exactly.  In a long column each distinct bit pattern (-0.0
-    is not 0.0) is formatted once: sweep columns repeat a few t, x and y
-    values.  Below ~64 cells numpy's fixed cost exceeds the saving."""
+    round-trips exactly, and in JSON (``none`` is "null") NaN and +-inf as
+    NaN and +-Infinity.  A long column spells each distinct bit pattern
+    (-0.0 is not 0.0) once: sweep columns repeat a few t, x and y values."""
     if name == "k":
         return list(map(str, col))
     nones = col.count(None)
     if nones == len(col):  # sweep's reference and abs_error
         return [none] * nones
-    if nones or len(col) < 64:
-        return [none if v is None else repr(float(v)) for v in col]
-    bits, where = np.unique(np.fromiter(col, np.float64, len(col)).view(np.int64), return_inverse=True)
-    return np.array(list(map(float.__repr__, bits.view(np.float64).tolist())), dtype=object)[where].tolist()
+    if nones or len(col) < 64:  # below ~64 cells numpy's fixed cost exceeds the saving
+        cells, where = [none if v is None else repr(float(v)) for v in col], None
+    else:
+        bits, where = np.unique(np.fromiter(col, np.float64, len(col)).view(np.int64), return_inverse=True)
+        cells = list(map(float.__repr__, bits.view(np.float64).tolist()))
+    if none == "null" and any(map(cells.__contains__, _JSON_NON_FINITE)):
+        cells = list(map(_JSON_NON_FINITE.get, cells, cells))
+    return cells if where is None else np.array(cells, dtype=object)[where].tolist()
 
 
+def _collector_paused(fn):
+    """``fn`` with the cyclic collector paused (rows hold no cycles), then left as the caller had it."""
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            (gc.enable if enabled else gc.disable)()
+    return paused
+
+
+@_collector_paused
 def write_rows(path: str, rows: list, output_format: str, row_type=ResultRow) -> None:
     """Serialise rows column by column, _CHUNK at a time; float cells use repr
     so parsing round-trips exactly.  JSON output equals json.dumps(indent=2,
@@ -211,7 +230,6 @@ def write_rows(path: str, rows: list, output_format: str, row_type=ResultRow) ->
     head, tail = (",".join(names) + "\n", "") if output_format == "csv" else ('{\n  "rows": [\n', "\n  ]\n}\n")
     if output_format != "csv" and not rows:
         head, tail = json.dumps({"columns": names, "rows": []}, indent=2, sort_keys=True) + "\n", ""
-    template = "    {\n" + ",\n".join(f'      "{n}": %s' for n in sorted(names)) + "\n    }"
     try:  # the file stdout writes to, reopened, would be truncated and written over from offset 0
         stdout = os.path.samestat(os.stat(path), os.fstat(sys.stdout.fileno()))
     except (OSError, ValueError):  # no such file, or a stdout without a descriptor (an io.StringIO)
@@ -229,9 +247,10 @@ def write_rows(path: str, rows: list, output_format: str, row_type=ResultRow) ->
                     cells = map(_format_column, names, cols.values(), repeat(""))
                     f.write("\n".join(map(",".join, zip(*cells))) + "\n")
                 else:
+                    keys = [f'{"," if j else "    {"}\n      "{n}": ' for j, n in enumerate(sorted(names))]
                     cells = [_format_column(n, cols[n], "null") for n in sorted(names)]
-                    lines = map(template.__mod__, zip(*(map(_JSON_NON_FINITE.get, c, c) for c in cells)))
-                    f.write(",\n" * (i > 0) + ",\n".join(lines))
+                    parts = chain.from_iterable(zip(map(repeat, keys), cells))  # each key's text, then its cells
+                    f.write(",\n" * (i > 0) + "".join(chain.from_iterable(zip(*parts, repeat("\n    },\n"))))[:-2])
             f.write(tail)
         if regular:
             os.replace(target, path)
@@ -244,8 +263,9 @@ def write_rows(path: str, rows: list, output_format: str, row_type=ResultRow) ->
 def _parse_column(name: str, col, none) -> list:
     if name == "k":
         return list(map(int, col))
-    if none == "" and len(col) >= 64:  # each distinct CSV text once (JSON's -0.0 == 0.0 rules a table out)
-        floats = {v: None if v == none else float(v) for v in set(col)}
+    # a long CSV column of repeated texts (a sweep's t, x, y) converts each once; JSON's -0.0 == 0.0 rules it out
+    if none == "" and len(col) >= 64 and 2 * len(texts := set(col)) < len(col):
+        floats = {v: None if v == none else float(v) for v in texts}
         return list(map(floats.__getitem__, col))
     try:
         return list(map(float, col))
@@ -285,6 +305,7 @@ def _json_rows(f):
     yield last
 
 
+@_collector_paused
 def read_rows(path: str) -> list:
     """Parse a result file back into ResultRow/SweepRow objects, _CHUNK
     rows at a time.  A CSV line with more or fewer cells than its header,
@@ -298,16 +319,17 @@ def read_rows(path: str) -> list:
             names = next(records, ())
         rows = []
         for chunk in iter(lambda: list(islice(records, _CHUNK)), []):
-            if none is None:  # JSON rows, as tuples in the first row's key order; () if the keys differ
+            if none is None:  # JSON rows are dicts, whose columns are the first row's keys
                 names = names or tuple(chunk[0])
-                get, keys = itemgetter(*names), set(names)
-                same = all(map(eq, map(dict.keys, chunk), repeat(keys)))
-                chunk = list(map(get, chunk)) if same else [get(r) if r.keys() == keys else () for r in chunk]
+            try:  # a ragged row: a line or row of another length, or a JSON row with another key
+                if set(map(len, chunk)) != {len(names)}:
+                    raise KeyError
+                cols = dict(zip(names, zip(*(chunk if none == "" else map(itemgetter(*names), chunk)))))
+            except KeyError:
+                n = next(n for n, r in enumerate(chunk, len(rows) + 1)
+                         if len(r) != len(names) or none is None and r.keys() != set(names))
+                raise ValueError(f"row {n} of {path} does not have the columns {', '.join(names)}") from None
             cls = SweepRow if "x" in names else ResultRow
-            if set(map(len, chunk)) != {len(names)}:
-                n = next(n for n, r in enumerate(chunk, len(rows) + 1) if len(r) != len(names))
-                raise ValueError(f"row {n} of {path} does not have the columns {', '.join(names)}")
-            cols = dict(zip(names, zip(*chunk)))
             columns = (_parse_column(n, cols.get(n, (none,) * len(chunk)), none) for n in cls._fields)
             rows += map(tuple.__new__, repeat(cls), zip(*columns))  # cls._make without its checks
     return rows
@@ -445,6 +467,7 @@ def _run_mehler_check(config: RunConfig):
 
 
 @np.errstate(all="ignore")  # a non-finite kernel value is reported as a DomainError
+@_collector_paused
 def sweep(config: RunConfig, grid) -> list:
     """Evaluate the selected kernel on every grid point (x, y) for each t in
     the schedule, one array call per t over the whole grid; rows are ordered

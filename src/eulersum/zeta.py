@@ -40,6 +40,8 @@ def alternating_sequence(s: float) -> CoefficientSequence:
     if s == 1.0:
         raise DomainError("prefactor pole at s = 1")
     u = 1.0 - s  # near the pole 1 - 2^u cancels, and -expm1(u ln 2) keeps its digits
+    if u >= 1024.0:
+        raise DomainError(f"prefactor 1/(1 - 2^(1-s)) does not fit a double at s={s!r}")
     pref = -1.0 / math.expm1(u * math.log(2.0)) if abs(u) < 0.05 else 1.0 / (1.0 - 2.0 ** u)
     by_parity = np.array([-pref, pref])
 

@@ -1,6 +1,8 @@
 """CLI harness: exit codes, result files, determinism, round-trips."""
 
 import argparse
+import contextlib
+import gc
 import json
 import math
 import os
@@ -20,7 +22,7 @@ import eulersum.harness
 import eulersum.oscillator
 import eulersum.resummation
 import eulersum.square_well
-from eulersum.errors import InvalidConfig, TailNotBounded
+from eulersum.errors import DomainError, InvalidConfig, TailNotBounded
 from eulersum.harness import (
     ResultRow,
     RunConfig,
@@ -1090,6 +1092,45 @@ def test_row_io_holds_the_rows_plus_one_chunk(tmp_path, fmt):
     assert read_peak < after + 6 * unit
 
 
+@pytest.mark.parametrize("enabled", [True, False])
+def test_row_builders_pause_the_collector_and_leave_it_as_they_found_it(tmp_path, monkeypatch, enabled):
+    """sweep, write_rows and read_rows build their rows with the cyclic
+    collector paused, and restore the caller's state, also when they raise:
+    on a non-finite sweep value, an unformattable cell and a ragged CSV."""
+    seen = []
+
+    def watched(fn):
+        return lambda *args: seen.append(gc.isenabled()) or fn(*args)
+
+    h = eulersum.harness
+    monkeypatch.setitem(h._SWEEP_KERNELS, "osc-h", watched(h._SWEEP_KERNELS["osc-h"]))
+    for name in ("_format_column", "_parse_column"):
+        monkeypatch.setattr(h, name, watched(getattr(h, name)))
+    config = RunConfig(subcommand="sweep", params={"kernel": "osc-h"})
+    unformattable = boundary_rows(5000)
+    unformattable[4500] = unformattable[4500]._replace(value="abc")
+    ragged = tmp_path / "ragged.csv"
+    ragged.write_text(f"{HEADER}\n1,0.5,0.25,,,1.5\n2,0.75,0.5,,\n")
+    path = tmp_path / "rows.json"
+    calls = [
+        (lambda: write_rows(str(path), sweep(config, [(1.0, 2.0), (0.5, -1.0)]), "json"), None),
+        (lambda: read_rows(str(path)), None),
+        (lambda: sweep(config, [(1e200, 1e200)]), DomainError),
+        (lambda: write_rows(str(path), unformattable, "csv"), ValueError),
+        (lambda: read_rows(str(ragged)), ValueError),
+    ]
+    was = gc.isenabled()
+    try:
+        for call, error in calls:
+            (gc.enable if enabled else gc.disable)()
+            with pytest.raises(error) if error else contextlib.nullcontext():
+                call()
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert len(seen) > 5 and not any(seen)
+
+
 def test_sweep_summary_is_the_largest_absolute_value(tmp_path, capsys):
     out = tmp_path / "sw.csv"
     assert main(["sweep", "--kernel", "well-h", "--nx", "7", "--ny", "9", "--output", str(out)]) == 0
@@ -1255,6 +1296,19 @@ def test_cli_zeta_at_extreme_s_reports_without_numpy_warnings(tmp_path, capsys, 
     assert main(["zeta", "--s", s, "--output", str(tmp_path / "z.csv")]) == rc
     captured = capsys.readouterr()
     assert summary in captured.out and captured.err == ""
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("s", ["-1023", "-1e308"])
+def test_cli_zeta_whose_prefactor_overflows_is_a_domain_error(tmp_path, capsys, s):
+    # 2^(1 - s) overflows a double from s = -1023; at s = -1022 it fits and
+    # the coefficients overflow instead (see above, s = -400)
+    out = tmp_path / "z.csv"
+    assert main(["zeta", f"--s={s}", "--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert (f"verdict=DomainError detail=prefactor 1/(1 - 2^(1-s)) does not fit a double at s={float(s)!r} "
+            in captured.out) and captured.err == ""
+    assert read_rows(str(out)) == []
 
 
 @pytest.mark.parametrize("argv", [["--s", "1e308"], ["--plain", "--s", "1e308"], ["--s", "5e307"]])

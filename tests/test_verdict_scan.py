@@ -13,11 +13,12 @@ import verdict_scan  # noqa: E402
 def test_the_case_list_is_the_grid_the_plain_points_and_the_well():
     todo = verdict_scan.cases()
     alternating = [case for case in todo if case[0] == "alternating"]
-    assert len(alternating) == 3 * 1440 + 4 and all(s != 1.0 for _, (s,), _ in alternating)
+    assert len(alternating) == 3 * 1440 + 6 and all(s != 1.0 for _, (s,), _ in alternating)
     assert [case[1][0] for case in alternating[:3]] == [-4.6, -4.595, -4.59]
     assert alternating[1439][1] == [2.6] and {tol for *_, tol in alternating} == {1e-8, 1e-10, 1e-12}
-    assert alternating[-4:] == [["alternating", [0.9999999], 1e-8], ["alternating", [1.0000001], 1e-8],
-                                ["alternating", [-5.0], 1e-8], ["alternating", [1e308], 1e-8]]
+    assert alternating[-6:] == [["alternating", [0.9999999], 1e-8], ["alternating", [1.0000001], 1e-8],
+                                ["alternating", [-5.0], 1e-8], ["alternating", [1e308], 1e-8],
+                                ["alternating", [-1023.0], 1e-8], ["alternating", [-1e308], 1e-8]]
     plain = [params[0] for kind, params, tol in todo if kind == "plain" and tol == 1e-8]
     assert plain[:7] == [3.0, 2.5, 2.0, 1.5, 1.1, 1.02, 1e308]
     assert len(plain) == 7 + 404 and plain[7:10] == [-100.0, -99.75, -99.5] and plain[-1] == 0.75
@@ -32,6 +33,7 @@ def test_the_case_list_is_the_grid_the_plain_points_and_the_well():
     (["plain", [-73.25], 1e-8], "plain tol=1e-08"),
     (["well", [2.0, 3], 1e-8], "well tol=1e-08"),  # x = 2.0 is no plain point
     (["plain", [1e308], 1e-8], "plain points tol=1e-08"),
+    (["alternating", [-1023.0], 1e-8], "alternating points tol=1e-08"),
 ])
 def test_the_points_off_the_grids_have_tables_of_their_own(case, group):
     assert verdict_scan.table(case) == group

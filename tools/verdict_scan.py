@@ -52,9 +52,10 @@ import mpmath
 import bench_record
 
 GRID_TOLS = (1e-8, 1e-10, 1e-12)
-# Beside the pole, where the prefactor cancels, below the grid, and at
-# s = 1e308, whose growth hint -s times ln N leaves the double range.
-ALTERNATING_S = (1.0 - 1e-7, 1.0 + 1e-7, -5.0, 1e308)
+# Beside the pole, where the prefactor cancels, below the grid, at
+# s = 1e308, whose growth hint -s times ln N leaves the double range, and at
+# s = -1023 and -1e308, where 2^(1-s) in the prefactor overflows.
+ALTERNATING_S = (1.0 - 1e-7, 1.0 + 1e-7, -5.0, 1e308, -1023.0, -1e308)
 # The plain series right of the grid below, where it converges (slowly
 # near 1), and at s = 1e308 as above.
 PLAIN_S = (3.0, 2.5, 2.0, 1.5, 1.1, 1.02, 1e308)
