@@ -200,7 +200,7 @@ def _format_column(name: str, col, none: str) -> list:
     else:
         bits, where = np.unique(np.fromiter(col, np.float64, len(col)).view(np.int64), return_inverse=True)
         cells = list(map(float.__repr__, bits.view(np.float64).tolist()))
-    if none == "null" and any(map(cells.__contains__, _JSON_NON_FINITE)):
+    if none == "null":
         cells = list(map(_JSON_NON_FINITE.get, cells, cells))
     return cells if where is None else np.array(cells, dtype=object)[where].tolist()
 
@@ -230,6 +230,7 @@ def write_rows(path: str, rows: list, output_format: str, row_type=ResultRow) ->
     head, tail = (",".join(names) + "\n", "") if output_format == "csv" else ('{\n  "rows": [\n', "\n  ]\n}\n")
     if output_format != "csv" and not rows:
         head, tail = json.dumps({"columns": names, "rows": []}, indent=2, sort_keys=True) + "\n", ""
+    keys = [f'{"," if j else "    {"}\n      "{n}": ' for j, n in enumerate(sorted(names))]  # JSON, before each cell
     try:  # the file stdout writes to, reopened, would be truncated and written over from offset 0
         stdout = os.path.samestat(os.stat(path), os.fstat(sys.stdout.fileno()))
     except (OSError, ValueError):  # no such file, or a stdout without a descriptor (an io.StringIO)
@@ -247,7 +248,6 @@ def write_rows(path: str, rows: list, output_format: str, row_type=ResultRow) ->
                     cells = map(_format_column, names, cols.values(), repeat(""))
                     f.write("\n".join(map(",".join, zip(*cells))) + "\n")
                 else:
-                    keys = [f'{"," if j else "    {"}\n      "{n}": ' for j, n in enumerate(sorted(names))]
                     cells = [_format_column(n, cols[n], "null") for n in sorted(names)]
                     parts = chain.from_iterable(zip(map(repeat, keys), cells))  # each key's text, then its cells
                     f.write(",\n" * (i > 0) + "".join(chain.from_iterable(zip(*parts, repeat("\n    },\n"))))[:-2])
