@@ -324,7 +324,7 @@ def read_rows(path: str) -> list:
             try:  # a ragged row: a line or row of another length, or a JSON row with another key
                 if set(map(len, chunk)) != {len(names)}:
                     raise KeyError
-                cols = dict(zip(names, zip(*(chunk if none == "" else map(itemgetter(*names), chunk)))))
+                cols = dict(zip(names, zip(*chunk))) if none == "" else {n: [*map(itemgetter(n), chunk)] for n in names}
             except KeyError:
                 n = next(n for n, r in enumerate(chunk, len(rows) + 1)
                          if len(r) != len(names) or none is None and r.keys() != set(names))

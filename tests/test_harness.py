@@ -987,6 +987,17 @@ def test_ragged_row_is_refused_in_a_later_chunk(tmp_path, fmt):
         read_rows(str(path))
 
 
+@pytest.mark.parametrize("columns", [("k",), ("k", "t")])
+def test_a_file_of_fewer_columns_reads_alike_in_csv_and_json(tmp_path, columns):
+    """The columns a file lacks read as empty cells, also where a JSON row has one key."""
+    values = [dict(zip(columns, (k, 1.0 - 0.5 ** k))) for k in (1, 2)]
+    csv_path, json_path = tmp_path / "few.csv", tmp_path / "few.json"
+    csv_path.write_text(",".join(columns) + "\n" + "".join(",".join(map(str, v.values())) + "\n" for v in values))
+    json_path.write_text(json.dumps({"rows": values}))
+    expected = [ResultRow(k=v["k"], t=v.get("t"), value=None, wall_time_ms=None) for v in values]
+    assert read_rows(str(csv_path)) == read_rows(str(json_path)) == expected
+
+
 def json_layouts(rows):
     """One row list as JSON files of other layouts than write_rows's."""
     rows = [r._asdict() for r in rows]
