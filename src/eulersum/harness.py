@@ -310,7 +310,7 @@ def read_rows(path: str) -> list:
     """Parse a result file back into ResultRow/SweepRow objects, _CHUNK
     rows at a time.  A CSV line with more or fewer cells than its header,
     or a JSON row whose keys are not the first row's (in any order), raises
-    ValueError naming the row."""
+    ValueError naming the row; a file with rows but no column k, one naming it."""
     with open(path, encoding="utf-8") as f:
         if f.buffer.peek().lstrip().startswith(b"{"):
             records, names, none = chain.from_iterable(_json_rows(f)), (), None
@@ -321,6 +321,8 @@ def read_rows(path: str) -> list:
         for chunk in iter(lambda: list(islice(records, _CHUNK)), []):
             if none is None:  # JSON rows are dicts, whose columns are the first row's keys
                 names = names or tuple(chunk[0])
+            if "k" not in names:
+                raise ValueError(f"{path} has no column k")
             try:  # a ragged row: a line or row of another length, or a JSON row with another key
                 if set(map(len, chunk)) != {len(names)}:
                     raise KeyError

@@ -11,6 +11,7 @@ divergent series are detected and reported rather than summed.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numbers
@@ -36,6 +37,12 @@ _BLOCK_MIN = 128
 _BLOCK_MAX = 8192
 _OFFSETS = np.arange(_BLOCK_MAX, dtype=np.float64)  # n + _OFFSETS[:block] is a block's index, exact for n < 2^53
 
+# abel_eval takes t^j from a read-only table kept per t, grown by the same
+# np.power calls as the blocks it serves; the _POWER_TABLES used last are
+# kept (2 MB).  A key holds t's type and sign: -0.0's table has -0.0s.
+_POWER_TABLES = 32
+_powers: dict = {}
+
 # A sequence keeps the blocks a_n of its first _KEPT_TERMS terms (1 MB), so
 # that the evaluations of one limit make each of them once.
 _KEPT_TERMS = 2 ** 17
@@ -59,8 +66,6 @@ _GROWTH_MIN, _GROWTH_SPREAD = 1.05, 1.05
 # tolerance, so that the fall of |f(t_k) - reference| its verdict reads
 # comes from t_k -> 1, not from where the sum was cut.
 INNER_TOL_FACTOR = 100.0
-
-_NORMAL_MIN = sys.float_info.min  # the least positive normal double
 
 
 @dataclass(frozen=True)
@@ -165,14 +170,10 @@ def _certified_tail(c: float, gamma: float, n_next: int, t: float) -> float:
         lead = c * float(n_next) ** gamma * t ** n_next
     except OverflowError:
         lead = math.inf
-    if _NORMAL_MIN <= lead < math.inf:
+    if sys.float_info.min <= lead < math.inf:  # a positive normal double
         return lead / gap
     log_bound = math.log(c) + gamma * math.log(n_next) + n_next * math.log(t) - math.log(gap)
     return math.exp(log_bound) if log_bound < 709.0 else math.inf
-
-
-def _over_budget(tol: float, t: float) -> TailNotBounded:
-    return TailNotBounded(f"tail not certified below tol={tol!r} within {DEFAULT_TERM_BUDGET} terms at t={t!r}")
 
 
 def _certified_terms(c: float, gamma: float, t: float, tol: float) -> int:
@@ -180,30 +181,32 @@ def _certified_terms(c: float, gamma: float, t: float, tol: float) -> int:
     that summing n <= N leaves a tail certified within tol; TailNotBounded
     when N would exceed DEFAULT_TERM_BUDGET.
 
-    The bound falls with N wherever it is finite.  For gamma <= 0 Newton's
-    method solves gamma v + (N + 1) ln t = ln tol + ln(1 - t) - ln c in
-    v = ln(N + 1), the exact log of the bound, whose left side is concave
-    and decreasing: started right of the root (at the budget, or where
-    (N + 1) ln t alone meets the right side) it falls onto it without
-    overshooting.  A galloping search from that guess, or from N = 1 for
-    gamma > 0, then finds N exactly, in O(log N) steps at worst.
+    The bound falls with N wherever it is finite.  Newton's method solves
+    g(v) = gamma v + (N + 1) ln t - target = 0 in v = ln(N + 1), where
+    target = ln tol + ln(1 - t) - ln c and g, concave, is the log of the
+    bound over tol for gamma <= 0 and below it for gamma > 0.  Its start,
+    where (N + 1) ln t = target, lies on g's falling side for gamma <= 0 and
+    where -target > gamma; a step from there (or from right of the root)
+    lands right of the root, and the next ones fall onto it.  Otherwise the
+    guess is N = 1.  A galloping search from the guess then finds N
+    exactly, in O(log N) steps at worst.
     """
     def ok(n: int) -> bool:
         return _certified_tail(c, gamma, n + 1, t) <= tol
 
     if not ok(DEFAULT_TERM_BUDGET):
-        raise _over_budget(tol, t)
+        raise TailNotBounded(f"tail not certified below tol={tol!r} within {DEFAULT_TERM_BUDGET} terms at t={t!r}")
     if ok(0):
         return 0
     lo, hi, step, guess = 0, DEFAULT_TERM_BUDGET, 1, 1
-    if gamma <= 0.0:  # target < ln t < 0 here, since ok(0) failed
-        ln_t, target = math.log(t), math.log(tol) + math.log1p(-t) - math.log(c)
+    ln_t, target = math.log(t), math.log(tol) + math.log1p(-t) - math.log(c)
+    if gamma <= 0.0 or -target > gamma:  # for gamma <= 0, target < ln t < 0 here, since ok(0) failed
         v_max = math.log(DEFAULT_TERM_BUDGET + 1.0)
         v = min(v_max, max(0.0, math.log(target / ln_t)))
         for _ in range(100):
             dv = (gamma * v + math.exp(v) * ln_t - target) / (gamma + math.exp(v) * ln_t)
             v = min(v_max, max(0.0, v - dv))  # gamma v can overflow (gamma < -1e307), sending v - dv to -inf
-            if dv * math.exp(v) < 0.5:
+            if abs(dv) * math.exp(v) < 0.5:
                 break
         guess = min(max(math.ceil(math.exp(v)) - 1, 1), hi)
     # ok(lo) is false and ok(hi) true; gallop from the guess, then bisect.
@@ -221,6 +224,19 @@ def _certified_terms(c: float, gamma: float, t: float, tol: float) -> int:
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if ok(mid) else (mid, hi)
     return hi
+
+
+def _power_table(t: float, size: int) -> np.ndarray:
+    """The kept read-only table of t^j, grown to j < size if shorter."""
+    key = type(t), t, math.copysign(1.0, t)
+    powers = _powers.pop(key, np.empty(0))
+    if powers.size < size:
+        powers = np.concatenate((powers, np.power(t, np.arange(powers.size, size, dtype=np.float64))))
+        powers.flags.writeable = False
+    _powers[key] = powers  # the order of _powers is that of last use
+    if len(_powers) > _POWER_TABLES:
+        del _powers[next(iter(_powers))]
+    return powers
 
 
 # Overflow and 0 * inf surface as non-finite a_n, which the finite check
@@ -245,7 +261,7 @@ def abel_eval(seq: CoefficientSequence, t: float, tol: float) -> AbelEvaluation:
     block_sums, magnitude = [], 0.0  # magnitude: sum(|a_n| t^n)
     n = 1
     block_size = _BLOCK_MIN
-    powers = np.power(t, np.arange(_BLOCK_MIN, dtype=np.float64))  # powers[j] = t^j
+    powers = _power_table(t, _BLOCK_MIN)  # powers[j] = t^j
     products = np.empty(_BLOCK_MAX)
     kept = seq._kept
 
@@ -253,7 +269,7 @@ def abel_eval(seq: CoefficientSequence, t: float, tol: float) -> AbelEvaluation:
         block = min(block_size, DEFAULT_TERM_BUDGET - (n - 1))
         block_size = min(2 * block_size, _BLOCK_MAX)
         if block > powers.size:
-            powers = np.concatenate((powers, np.power(t, np.arange(powers.size, block, dtype=np.float64))))
+            powers = _power_table(t, block)
         if b < len(kept):
             coeffs = kept[b]
         else:
@@ -282,6 +298,13 @@ def abel_eval(seq: CoefficientSequence, t: float, tol: float) -> AbelEvaluation:
                                   tail_bound=_certified_tail(seq.bound, gamma, n, t),
                                   wall_ms=(time.perf_counter() - start) * 1e3,
                                   roundoff_bound=sys.float_info.epsilon * magnitude)
+
+
+@functools.lru_cache(maxsize=256, typed=True)
+def _lagrange_weights(ratio: float, k: int, w: int) -> tuple:
+    """L_j(0) for the window of the w nodes u_j = ratio^j, j = k + 1 - w ... k."""
+    us = [ratio ** j for j in range(k + 1 - w, k + 1)]
+    return tuple(math.prod(ui / (ui - uj) for ui in us if ui != uj) for uj in us)
 
 
 def euler_limit(seq: CoefficientSequence, cfg: Optional[EulerLimitConfig] = None) -> EulerLimitResult:
@@ -328,8 +351,7 @@ def euler_limit(seq: CoefficientSequence, cfg: Optional[EulerLimitConfig] = None
         evaluations.append(ev)
 
         window = evaluations[-_EXTRAPOLATION_ORDER:]
-        us = [cfg.ratio ** j for j in range(k + 1 - len(window), k + 1)]
-        weights = [math.prod(ui / (ui - uj) for ui in us if ui != uj) for uj in us]  # L_j(0)
+        weights = _lagrange_weights(cfg.ratio, k, len(window))
         p = math.fsum(wj * e.value for wj, e in zip(weights, window))
         extrapolants.append(p)
         d = abs(p - extrapolants[-2]) if k else math.inf

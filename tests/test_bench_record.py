@@ -53,6 +53,11 @@ def test_directions_are_those_of_the_benchmark():
     assert better["op_p50_ms"] == better["op_p90_ms"] == better["peak_rss_mb"] == better["setup_s"] == "lower"
 
 
+def test_spread_is_the_median_min_and_max_of_each_metric():
+    assert bench_record.spread(runs([0.9, 0.66, 0.7])) == {
+        "ops_per_s": {"median": 0.7, "min": 0.66, "max": 0.9, "n": 3}}
+
+
 def test_alternate_swaps_the_first_side_each_time():
     calls = []
     got = bench_record.alternate(4, lambda side, i: calls.append((side, i)) or f"{side}{i}")
@@ -72,6 +77,9 @@ def test_record_against_a_baseline_pairs_every_seed_and_launch_round(tmp_path, m
         calls.append((root.name, workload, seed, trace))
         value = seed * (2.0 if root.name == "new" else 1.0)  # the candidate is 2x at every seed
         detail = {"deck_sha256": workload, "passes": 3, "outcomes": {"ok": 100}}
+        if trace:  # the candidate's traced runs of a workload read 1, 2, 3
+            value = float(sum(c[:2] == ("new", workload) and c[3] for c in calls)) if root.name == "new" else 1.0
+            return {"resummation.abel_eval.self_s": {"value": value, "unit": "s"}}, detail
         return {"ops_per_s": {"value": value, "unit": "1/s"}}, detail
 
     def launch_round(root):
@@ -86,6 +94,9 @@ def test_record_against_a_baseline_pairs_every_seed_and_launch_round(tmp_path, m
                         ("new", 4), ("old", 4), ("old", 5), ("new", 5), ("new", 6), ("old", 6),
                         ("old", 7), ("new", 7), ("new", 8), ("old", 8), ("old", 9), ("new", 9),
                         ("new", 10), ("old", 10)]
+    traced = [c[0] for c in calls if c[1] == "zeta-mix" and c[3] == 1]
+    assert traced == ["old", "new", "new", "old", "old", "new"]  # TRACED_RUNS pairs, after the seeds
+    assert calls.index(("old", "zeta-mix", 1, 1)) > calls.index(("old", "zeta-mix", 10, 0))
     assert [c[0] for c in calls if c[1] == "cli"] == ["old", "new", "new", "old", "old", "new",
                                                       "new", "old", "old", "new"]
     for workload in bench_record.WORKLOADS:
@@ -93,7 +104,9 @@ def test_record_against_a_baseline_pairs_every_seed_and_launch_round(tmp_path, m
                                                            "wins": 10}}
         assert bench["workloads"][workload]["summary"]["ops_per_s"]["median"] == 11.0
         assert bench["baseline"]["workloads"][workload]["summary"]["ops_per_s"]["median"] == 5.5
-        assert bench["workloads"][workload]["traced"]["seed"] == 1
+        assert bench["workloads"][workload]["traced"] == {
+            "seed": 1, "metrics": {"resummation.abel_eval.self_s": {"median": 2.0, "min": 1.0, "max": 3.0, "n": 3}},
+            "outcomes": [{"ok": 100}] * 3}
     assert bench["paired"]["cli"] == {"zeta --s -1": {"median": 0.75, "min": 0.75, "max": 0.75, "n": 5, "wins": 5}}
     assert bench["cli"]["exit"] == bench["baseline"]["cli"]["exit"] == {"zeta --s -1": 0}
 

@@ -998,6 +998,14 @@ def test_a_file_of_fewer_columns_reads_alike_in_csv_and_json(tmp_path, columns):
     assert read_rows(str(csv_path)) == read_rows(str(json_path)) == expected
 
 
+@pytest.mark.parametrize("text", ["t\n0.5\n", '{"rows": [{"t": 0.5}]}'], ids=["csv", "json"])
+def test_a_file_without_the_k_column_is_refused(tmp_path, text):
+    path = tmp_path / "no-k"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=" has no column k$"):
+        read_rows(str(path))
+
+
 def json_layouts(rows):
     """One row list as JSON files of other layouts than write_rows's."""
     rows = [r._asdict() for r in rows]

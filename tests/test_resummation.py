@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import eulersum.resummation as rs
 from eulersum.errors import DomainError, InvalidConfig, NoEulerSum, PrecisionFloor, TailNotBounded, TNotInUnitInterval
 from eulersum.oscillator import osc_action_coefficients
 from eulersum.resummation import (
@@ -247,8 +248,6 @@ def test_term_budget_break_after_t_0_is_unconverged():
 
 
 def test_saturated_schedule_never_evaluates_t_one(monkeypatch):
-    import eulersum.resummation as rs
-
     ts = []
 
     def recording(seq, t, tol):
@@ -266,8 +265,6 @@ def test_saturated_schedule_never_evaluates_t_one(monkeypatch):
 
 
 def test_abel_eval_failure_carries_the_evaluations_made(monkeypatch):
-    import eulersum.resummation as rs
-
     made = []
 
     def failing_after_three(*args, **kwargs):
@@ -560,6 +557,85 @@ def test_kept_blocks_are_read_only_and_not_part_of_the_sequence():
     assert dataclasses.replace(seq, term_block=seq.term_block)._kept == []
     assert seq == twin and hash(seq) == hash(twin) and twin._kept == []
     assert "_kept" not in repr(seq)
+
+
+# --- the kept power tables and window weights ---------------------------------
+
+
+def least_n_by_bisection(c, gamma, t, tol):
+    """The least N with _certified_tail(c, gamma, N + 1, t) <= tol, by plain bisection over [0, the budget]."""
+    def ok(n):
+        return _certified_tail(c, gamma, n + 1, t) <= tol
+
+    if not ok(DEFAULT_TERM_BUDGET):
+        return None
+    lo, hi = -1, DEFAULT_TERM_BUDGET
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if ok(mid) else (mid, hi)
+    return hi
+
+
+@given(c=st.floats(min_value=1e-20, max_value=1e20), gamma=st.floats(min_value=0.0, max_value=10.0, exclude_min=True),
+       t=st.floats(min_value=0.5, max_value=1.0 - 2.0 ** -30), tol=st.floats(min_value=1e-300, max_value=1.0))
+@settings(max_examples=300, deadline=None)
+# the Newton start lies on the falling side of the log bound (-target > gamma), and on its rising side
+@example(c=1.0, gamma=3.0, t=0.999, tol=1e-10)
+@example(c=1e-20, gamma=10.0, t=0.5, tol=1.0)
+def test_certified_terms_for_a_growing_bound_is_the_least_n_of_a_plain_bisection(c, gamma, t, tol):
+    expected = least_n_by_bisection(c, gamma, t, tol)
+    if expected is None:
+        with pytest.raises(TailNotBounded):
+            _certified_terms(c, gamma, t, tol)
+    else:
+        assert _certified_terms(c, gamma, t, tol) == expected
+
+
+def test_kept_power_tables_are_the_read_only_powers_of_t():
+    seq = alternating_sequence(-1.0)
+    for t in (0.0, 0.3, 0.5, 1.0 - 2.0 ** -12):
+        n = abel_eval(seq, t, 1e-10).terms_used
+        table = rs._power_table(t, 1)
+        assert table.size >= min(n, _BLOCK_MAX)
+        assert table.tobytes() == np.power(t, np.arange(table.size, dtype=np.float64)).tobytes()
+        with pytest.raises(ValueError):
+            table[0] = 0.0
+    # equal keys, other tables: the zeros of -0.0's odd powers are negative
+    assert math.copysign(1.0, rs._power_table(-0.0, 2)[1]) == -1.0
+    assert math.copysign(1.0, rs._power_table(0.0, 2)[1]) == 1.0
+
+
+def test_at_most_the_last_used_power_tables_are_kept():
+    seq = alternating_sequence(-1.0)
+    ts = [0.5 + j / 1000.0 for j in range(rs._POWER_TABLES + 8)]
+    for t in ts:
+        abel_eval(seq, t, 1e-10)
+    assert len(rs._powers) <= rs._POWER_TABLES
+    assert all(table.size <= _BLOCK_MAX for table in rs._powers.values())
+    assert (float, ts[-1], 1.0) in rs._powers and (float, ts[0], 1.0) not in rs._powers
+
+
+def evaluation_fields(evaluations):
+    return [(e.t, e.value.hex(), e.terms_used, e.tail_bound, e.roundoff_bound) for e in evaluations]
+
+
+@pytest.mark.parametrize("s", [-1.0, -4.0, 0.5, 2.0])
+def test_a_limit_with_cold_tables_and_weights_is_the_limit_with_warm_ones(s):
+    def limit():
+        try:
+            res = euler_limit(alternating_sequence(s), EulerLimitConfig(tolerance=1e-8))
+        except PrecisionFloor as exc:  # s = -4 ends at its roundoff floor
+            return "floor", exc.value, exc.error_estimate, evaluation_fields(exc.evaluations)
+        return res.converged, res.value, res.error_estimate, evaluation_fields(res.evaluations)
+
+    rs._powers.clear()
+    rs._lagrange_weights.cache_clear()
+    cold = limit()
+    assert rs._lagrange_weights.cache_info().hits == 0
+    warm = limit()
+    assert rs._lagrange_weights.cache_info().hits == len(cold[3])
+    assert warm == cold
+    assert (cold[0] == "floor") == (s == -4.0)
 
 
 # --- the steady-growth exit ----------------------------------------------------

@@ -6,16 +6,17 @@ bench/BENCH_<label>.json.
 Extracts REV with ``git archive`` into a temporary directory, the
 baseline, and measures it in pairs with this checkout, the candidate.
 For every workload at seeds 1-10 it runs ``perfbench/run.py`` of both
-trees, each seed's two runs back to back, then once more per workload and
-tree with ``--trace 1`` at seed 1.  It times LAUNCHES rounds of fresh
-``python -m eulersum`` launches of each tree, one of each CLI_CASES
-command per round, the two trees' rounds again back to back.  Which side
+trees, each seed's two runs back to back, then TRACED_RUNS pairs of runs
+with ``--trace 1`` at seed 1.  It times LAUNCHES rounds of fresh ``python
+-m eulersum`` launches of each tree, one of each CLI_CASES command per
+round, the two trees' rounds again back to back.  Which side
 runs first alternates from one pair to the next, so that drift of the
 host falls on both sides alike.
 
 The file holds, per workload, the median, q1 and q3 of each end-to-end
 metric over the seeds, every seed's metrics and outcome counts, and the
-traced run's per-layer metrics; under "cli", the median, q1 and q3 wall
+median, min and max of each per-layer metric over the traced runs, with
+each traced run's outcome counts; under "cli", the median, q1 and q3 wall
 time of each command's launches and its exit status; the checkout's git
 sha; and the host.  The baseline's own sections sit under "baseline", and
 "paired" holds, for each workload and metric and for each CLI command,
@@ -49,6 +50,9 @@ WORKLOADS = ("zeta-mix", "actions-deep", "sweep-io")
 SEEDS = tuple(range(1, 11))
 # Each perfbench run's --seconds; it makes at least three passes regardless.
 SECONDS = 8.0
+# Traced seed-1 runs per workload and tree: one slow spell moves a median of
+# three less than a single run.
+TRACED_RUNS = 3
 # CLI commands timed end to end: every subcommand at its defaults (zeta has
 # no default s), the divergent --plain series and a 100 x 100 sweep.
 CLI_CASES = (("zeta", "--s", "-1"), ("zeta", "--plain", "--s", "0.5"), ("well-delta",),
@@ -71,6 +75,17 @@ def summarise(runs: list) -> dict:
         values = sorted(run[name]["value"] for run in runs)
         q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
         out[name] = {"median": median, "q1": q1, "q3": q3, "unit": runs[0][name]["unit"], "n": len(values)}
+    return out
+
+
+def spread(runs: list) -> dict:
+    """Median, min and max of each metric over runs, read as summarise()
+    reads them, and their number n."""
+    out = {}
+    for name in runs[0]:
+        values = [run[name]["value"] for run in runs]
+        out[name] = {"median": statistics.median(values), "min": min(values), "max": max(values),
+                     "n": len(values)}
     return out
 
 
@@ -180,16 +195,16 @@ def record(roots: dict, label: str) -> dict:
     pairs = {}
     for workload in WORKLOADS:
         got = alternate(len(SEEDS), lambda side, i: run_bench(roots[side], workload, SEEDS[i], SECONDS, 0))
+        traced = alternate(TRACED_RUNS, lambda side, i: run_bench(roots[side], workload, SEEDS[0], SECONDS, 1))
         for side in SIDES:
             runs = [metrics for metrics, _ in got[side]]
-            traced, detail = run_bench(roots[side], workload, SEEDS[0], SECONDS, 1)
             trees[side]["workloads"][workload] = {
                 "summary": summarise(runs),
                 "runs": [{name: m["value"] for name, m in run.items()} for run in runs],
                 "outcomes": [{"seed": seed, "deck_sha256": d["deck_sha256"], "passes": d["passes"],
                               "outcomes": d["outcomes"]} for seed, (_, d) in zip(SEEDS, got[side])],
-                "traced": {"seed": SEEDS[0], "metrics": {name: m["value"] for name, m in traced.items()},
-                           "outcomes": detail["outcomes"]},
+                "traced": {"seed": SEEDS[0], "metrics": spread([metrics for metrics, _ in traced[side]]),
+                           "outcomes": [d["outcomes"] for _, d in traced[side]]},
             }
         pairs[workload] = paired(*([metrics for metrics, _ in got[side]] for side in SIDES), directions())
     rounds = alternate(LAUNCHES, lambda side, i: launch_round(roots[side]))
