@@ -35,7 +35,7 @@ from . import oscillator as osc
 from . import square_well as sw
 from .errors import DomainError, EulerSumError, InvalidConfig, TailNotBounded
 from .resummation import (_BLOCK_MIN, DEFAULT_TERM_BUDGET, INNER_TOL_FACTOR, EulerLimitConfig, _certified_terms,
-                          euler_limit)
+                          _power_table, euler_limit)
 # Unused here, but perfbench/spans.py wraps harness.abel_eval by name.
 from .resummation import abel_eval
 from .zeta import alternating_sequence, plain_sequence, reference_value
@@ -226,6 +226,8 @@ def write_rows(path: str, rows: list, output_format: str, row_type=ResultRow) ->
     [row_type's fields], "rows": []}, so every file names its columns.  A failed
     write leaves no new file and an old one whole; links, devices and pipes are written in place,
     and the file that sys.stdout writes to is written through sys.stdout, after what it holds."""
+    if output_format not in ("csv", "json"):
+        raise ValueError(f"unknown output format {output_format!r}")
     names = (rows[0] if rows else row_type)._fields
     head, tail = (",".join(names) + "\n", "") if output_format == "csv" else ('{\n  "rows": [\n', "\n  ]\n}\n")
     if output_format != "csv" and not rows:
@@ -428,10 +430,9 @@ def _run_action(config: RunConfig):
             raise
     else:
         coeffs = osc.osc_action_coefficients(x, p, tol)
-        powers = np.arange(coeffs.size)
         # exp(-x^2) is 0 long before 1.5 x^2 overflows (|x| ~ 1.1e154) into inf * 0
         reference = (1.0 - 1.5 * x * x if p else 1.0) * math.exp(-x * x) if abs(x) < 1e154 else 0.0
-        rows = _walk(config, lambda t: float(np.dot(coeffs, t ** powers)), reference)
+        rows = _walk(config, lambda t: float(np.dot(coeffs, _power_table(t, coeffs.size)[:coeffs.size])), reference)
     verdict = "approaching" if _monotone_tail(rows, tol) else "not-approaching"
     return rows, rows[-1].value, rows[-1].abs_error, verdict
 
@@ -474,10 +475,13 @@ def sweep(config: RunConfig, grid) -> list:
     """Evaluate the selected kernel on every grid point (x, y) for each t in
     the schedule, one array call per t over the whole grid; rows are ordered
     by (point index, k), and a row's wall_time_ms is its share of that call."""
-    if len(grid) == 0:
-        raise InvalidConfig("sweep grid must be nonempty")
+    try:
+        points = np.asarray(grid, dtype=np.float64)
+    except (TypeError, ValueError):  # ragged, or not numbers
+        points = np.empty(0)
+    if points.shape[1:] != (2,) or not points.size:
+        raise InvalidConfig("sweep grid must be a nonempty list of (x, y) points")
     kernel_name = config.params["kernel"]
-    points = np.asarray(grid, dtype=np.float64)
     lo, hi = (0.0, sw.PI) if kernel_name.startswith("well") else (-math.inf, math.inf)
     if not np.all(np.isfinite(points) & (lo <= points) & (points <= hi)):
         raise InvalidConfig(f"sweep --kernel {kernel_name} needs finite x, y in [{lo:g}, {hi:g}]")

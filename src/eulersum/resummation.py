@@ -37,9 +37,9 @@ _BLOCK_MIN = 128
 _BLOCK_MAX = 8192
 _OFFSETS = np.arange(_BLOCK_MAX, dtype=np.float64)  # n + _OFFSETS[:block] is a block's index, exact for n < 2^53
 
-# abel_eval takes t^j from a read-only table kept per t, grown by the same
-# np.power calls as the blocks it serves; the _POWER_TABLES used last are
-# kept (2 MB).  A key holds t's type and sign: -0.0's table has -0.0s.
+# abel_eval, the well's odd-n pass and the oscillator's action rows read t^j
+# from a table kept per t, of up to 2 * _BLOCK_MAX entries; the _POWER_TABLES
+# used last are kept (4 MB).  A key holds t's type and sign.
 _POWER_TABLES = 32
 _powers: dict = {}
 
@@ -227,7 +227,7 @@ def _certified_terms(c: float, gamma: float, t: float, tol: float) -> int:
 
 
 def _power_table(t: float, size: int) -> np.ndarray:
-    """The kept read-only table of t^j, grown to j < size if shorter."""
+    """The kept read-only table of np.power(t, j), grown to j < size if shorter (-0.0's has -0.0s)."""
     key = type(t), t, math.copysign(1.0, t)
     powers = _powers.pop(key, np.empty(0))
     if powers.size < size:

@@ -35,7 +35,8 @@ from .errors import (
     check_t,
 )
 from .quadrature import eval_test_function, integrate
-from .resummation import _BLOCK_MAX, AbelEvaluation, CoefficientSequence, _certified_tail, _certified_terms
+from .resummation import (_BLOCK_MAX, AbelEvaluation, CoefficientSequence, _certified_tail, _certified_terms,
+                          _power_table)
 
 PI = math.pi
 
@@ -237,11 +238,6 @@ def well_action_sequence(x: float, p: int) -> CoefficientSequence:
     return CoefficientSequence(term_block, growth_hint=gamma, bound=scale)
 
 
-# Within a block, t^(2j) = hi[j // _STRIDE] * lo[j % _STRIDE]: each row keeps
-# two short power tables, whatever its depth.
-_STRIDE = 64
-
-
 def well_action_evaluations(x: float, p: int, ts, tol: float) -> list:
     """The series of well_action_sequence(x, p) at each t in ts, as
     AbelEvaluations made in one pass over odd n.
@@ -250,26 +246,25 @@ def well_action_evaluations(x: float, p: int, ts, tol: float) -> list:
     N + 1, t) <= tol for the sequence's bound C: its tail_bound is a true
     bound on truncation (rounding is not in it; see well_action_sequence),
     and terms_used is N (the even n, where a_n = 0, are skipped).
-    The a_n come from term_block in blocks of _BLOCK_MAX odd n; each block
-    is made once and summed by every row whose prefix reaches it.  A row's
-    wall_ms times its own sums, not the shared blocks.  At the first t whose
-    N exceeds DEFAULT_TERM_BUDGET, TailNotBounded is raised carrying the
-    evaluations of the t before it, and no a_n past their N is made.
+    The a_n come from term_block in blocks of _BLOCK_MAX odd n, each made
+    once; a row sums those its prefix reaches against t's kept t^(2j).  A
+    row's wall_ms times its own sums, not the shared blocks.  At the first t
+    whose N exceeds DEFAULT_TERM_BUDGET, TailNotBounded is raised carrying
+    the evaluations of the t before it, and no a_n past their N is made.
     """
     if not 0.0 < tol < math.inf:
         raise InvalidConfig("tol must be finite and positive")
     seq = well_action_sequence(x, p)
     c, gamma = seq.bound, seq.growth_hint
-    schedule, failure = [], None  # t, N and the power tables lo, hi of each row to make
+    schedule, failure = [], None  # t and N of each row to make
     for t in ts:
         check_t(t)
         try:
-            schedule.append((t, _certified_terms(c, gamma, t, tol), t ** np.arange(0.0, 2.0 * _STRIDE, 2.0),
-                             t ** np.arange(0.0, 2.0 * _BLOCK_MAX, 2.0 * _STRIDE)))
+            schedule.append((t, _certified_terms(c, gamma, t, tol)))
         except TailNotBounded as exc:
             failure = exc
             break
-    n_last = max((n for _, n, _, _ in schedule), default=0)
+    n_last = max((n for _, n in schedule), default=0)
     parts = [[] for _ in schedule]  # each row's block sums
     walls = [0.0] * len(schedule)
     for n0 in range(1, n_last + 1, 2 * _BLOCK_MAX):
@@ -277,20 +272,16 @@ def well_action_evaluations(x: float, p: int, ts, tol: float) -> list:
         coeffs = np.asarray(seq.term_block(idx), dtype=np.float64)
         if not np.all(np.isfinite(coeffs)):
             raise DomainError(f"non-finite coefficient near n={n0}")
-        strided = coeffs[:coeffs.size - coeffs.size % _STRIDE].reshape(-1, _STRIDE)
-        for i, (t, n, lo, hi) in enumerate(schedule):
+        for i, (t, n) in enumerate(schedule):
             if n < n0:
                 continue
             start = time.perf_counter()
-            q, r = divmod(min(n - n0, idx.size * 2 - 2) // 2 + 1, _STRIDE)
-            s = float(hi[:q] @ (strided[:q] @ lo))
-            if r:
-                s += float(hi[q] * (coeffs[q * _STRIDE:q * _STRIDE + r] @ lo[:r]))
-            parts[i].append(s * t ** n0)
+            m = min(n - n0, idx.size * 2 - 2) // 2 + 1  # the block's odd n up to N
+            parts[i].append(float(coeffs[:m] @ _power_table(t, 2 * m)[:2 * m:2]) * t ** n0)
             walls[i] += time.perf_counter() - start
     evaluations = [AbelEvaluation(t=t, value=math.fsum(part), terms_used=n,
                                   tail_bound=_certified_tail(c, gamma, n + 1, t), wall_ms=wall * 1e3)
-                   for (t, n, _, _), part, wall in zip(schedule, parts, walls)]
+                   for (t, n), part, wall in zip(schedule, parts, walls)]
     if failure is not None:
         failure.evaluations = evaluations
         raise failure

@@ -791,6 +791,10 @@ def test_a_failed_write_leaves_the_old_file_whole(tmp_path, fmt):
     with pytest.raises(ValueError):
         write_rows(str(tmp_path / f"new.{fmt}"), rows, fmt)
     assert os.listdir(tmp_path) == [path.name]  # nor a part of a new file
+    for target in (path, tmp_path / "new.xml"):  # an unknown format is refused before the path is touched
+        with pytest.raises(ValueError, match="'xml'"):
+            write_rows(str(target), boundary_rows(3), "xml")
+    assert path.read_bytes() == old and os.listdir(tmp_path) == [path.name]
 
 
 def test_rows_are_written_through_a_symlink_and_into_a_pipe(tmp_path):
@@ -1237,6 +1241,12 @@ def test_sweep_rejects_empty_grid():
         sweep(RunConfig(subcommand="sweep"), [])
 
 
+@pytest.mark.parametrize("grid", [[(1.0, 2.0, 3.0)], [(1.0,)], [1.0, 2.0], [[(1.0, 2.0)]], [("x", "y")]])
+def test_sweep_rejects_a_grid_that_is_not_n_by_2(grid):
+    with pytest.raises(InvalidConfig, match=r"\(x, y\) points"):
+        sweep(RunConfig(subcommand="sweep"), grid)
+
+
 _POINT_KERNELS = {
     "well": lambda x, y, t: k_kernel(WellKernelPoint(x=x, y=y, t=t)),
     "well-h": lambda x, y, t: h_kernel(WellKernelPoint(x=x, y=y, t=t)),
@@ -1268,6 +1278,9 @@ def test_sweep_matches_the_scalar_public_kernels(kernel):
         ("well-h", (math.nan, 0.5)),
         ("osc", (0.5, math.nan)),
         ("osc-h", (math.inf, 0.0)),
+        ("well", (1.0, 2.0, 3.0)),  # points that are not (x, y) pairs make a ragged grid
+        ("osc", (1.0,)),
+        ("osc-h", ()),
     ],
 )
 def test_sweep_rejects_points_outside_the_kernel_domain(monkeypatch, kernel, bad):

@@ -600,6 +600,14 @@ def test_kept_power_tables_are_the_read_only_powers_of_t():
         assert table.tobytes() == np.power(t, np.arange(table.size, dtype=np.float64)).tobytes()
         with pytest.raises(ValueError):
             table[0] = 0.0
+    # the well's odd-n pass reads t^(2j) there, at the 38 points of well-delta --k-max 40
+    well_action_evaluations(1.0, 0, [1.0 - 2.0 ** -k for k in range(1, 39)], 1e-10)
+    assert 0 < len(rs._powers) <= rs._POWER_TABLES
+    assert max(table.size for table in rs._powers.values()) == 2 * _BLOCK_MAX
+    for (_, t, _), table in rs._powers.items():
+        assert table.tobytes() == np.power(t, np.arange(table.size, dtype=np.float64)).tobytes()
+        with pytest.raises(ValueError):
+            table[0] = 0.0
     # equal keys, other tables: the zeros of -0.0's odd powers are negative
     assert math.copysign(1.0, rs._power_table(-0.0, 2)[1]) == -1.0
     assert math.copysign(1.0, rs._power_table(0.0, 2)[1]) == 1.0

@@ -102,8 +102,8 @@ def test_main_prints_the_counts_and_fails_on_any_difference(monkeypatch, capsys,
     assert out == ["zeta-mix: 1000 ops", *diffs, f"{len(diffs)} of 1000 ops differ"]
 
 
-# Where each edge op leaves euler_limit: a text of its summary line, and the
-# number of points it evaluated
+# Where each edge op stops: a text of its summary line, and the number of
+# points it evaluated
 EDGE_EXITS = [
     ("verdict=unconverged", 3),  # k-max after 2 deltas
     ("verdict=unconverged", 7),  # k-max after 6 deltas
@@ -113,6 +113,8 @@ EDGE_EXITS = [
     ("f(t) grows like u^-0.480", 5),
     ("verdict=converged", 8),
     ("value=3.47599911166e-05 error_estimate=0.000647095742291 verdict=PrecisionFloor", 9),  # zeta(-4) = 0
+    ("verdict=TailNotBounded detail=tail not certified below tol=1e-10 within 20000000 terms", 38),
+    ("verdict=TailNotBounded detail=tail not certified below tol=1e-10 within 20000000 terms", 19),
 ]
 
 

@@ -1,5 +1,6 @@
 """Check that this checkout gives the same CLI outputs as a git revision on
-every op of the benchmark decks and on a fixed list of edge ops.
+every op of the benchmark decks and on a fixed list of edge ops: exits of
+the t -> 1 limit and the deepest well passes, which no deck op reaches.
 
     python3 tools/same_outputs.py --against HEAD~1
 
@@ -40,7 +41,10 @@ WORKLOADS = bench_record.WORKLOADS
 # NoEulerSum); extrapolants grew; steady growth;
 # converged at a ratio whose nodes are not powers of two; the roundoff
 # floor.  No zeta op reaches abel_eval's TailNotBounded mid-schedule: the
-# roundoff floor ends the alternating series first.
+# roundoff floor ends the alternating series first.  Last, the two deepest
+# odd-n well passes, which end in TailNotBounded at the term budget: 38 rows
+# of well-delta, whose deep rows sum full blocks of 8 192 odd n, and 19 of
+# well-hamiltonian at x near pi/2.
 EDGE_OPS = (
     ("zeta", "--s", "-1", "--k-max", "2"),
     ("zeta", "--s", "-1", "--k-max", "6"),
@@ -50,6 +54,8 @@ EDGE_OPS = (
     ("zeta", "--plain", "--s", "0.5"),
     ("zeta", "--s", "0.5", "--t-ratio", "0.3", "--tol", "1e-10"),
     ("zeta", "--s", "-4", "--tol", "1e-8"),
+    ("well-delta", "--k-max", "40"),
+    ("well-hamiltonian", "--x", "1.570796", "--k-max", "20"),
 )
 
 
