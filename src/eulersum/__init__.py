@@ -14,12 +14,13 @@ _EXPORTS = {
     "errors": ("BoundaryAmbiguous", "DomainError", "EulerSumError", "InvalidConfig", "NoEulerSum",
                "NOverflow", "PrecisionFloor", "QuadratureNotConverged", "TailNotBounded",
                "TestFunctionBoundary", "TNotInUnitInterval", "TruncationInsufficient"),
-    "harness": ("ResultRow", "RunConfig", "SweepRow", "main", "read_rows", "run", "sweep", "write_rows"),
+    "harness": ("RunConfig", "main", "run", "sweep"),
     "oscillator": ("MehlerPoint", "mehler_kernel", "mehler_series", "osc_action", "osc_h_kernel",
                    "phi_osc", "symmetrized_exponent"),
     "quadrature": ("QuadratureResult", "QuadratureSpec", "integrate"),
     "resummation": ("AbelEvaluation", "CoefficientSequence", "EulerLimitConfig", "EulerLimitResult",
                     "abel_eval", "euler_limit"),
+    "rows": ("ResultRow", "SweepRow", "read_rows", "write_rows"),
     "square_well": ("IntervalIntegralQuery", "WellKernelPoint", "arg_f", "d_kernel", "h_kernel",
                     "h_series", "k_interval_integral", "k_kernel", "k_series", "phi_well", "well_action"),
     "zeta": ("alternating_sequence", "plain_sequence", "zeta_direct", "zeta_euler"),

@@ -38,9 +38,10 @@ _BLOCK_MAX = 8192
 _OFFSETS = np.arange(_BLOCK_MAX, dtype=np.float64)  # n + _OFFSETS[:block] is a block's index, exact for n < 2^53
 
 # abel_eval, the well's odd-n pass and the oscillator's action rows read t^j
-# from a table kept per t, of up to 2 * _BLOCK_MAX entries; the _POWER_TABLES
-# used last are kept (4 MB).  A key holds t's type and sign.
-_POWER_TABLES = 32
+# from a table kept per t, of up to 2 * _BLOCK_MAX entries (128 KB); the 64
+# used last are kept (8 MB), more than the 61 points of the longest schedule
+# (k <= 60, and t_0 = 0).  A key holds t's type and sign.
+_POWER_TABLES = 64
 _powers: dict = {}
 
 # A sequence keeps the blocks a_n of its first _KEPT_TERMS terms (1 MB), so

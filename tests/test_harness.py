@@ -21,25 +21,17 @@ import mpmath
 import eulersum.harness
 import eulersum.oscillator
 import eulersum.resummation
+import eulersum.rows
 import eulersum.square_well
 from eulersum.errors import DomainError, InvalidConfig, TailNotBounded
-from eulersum.harness import (
-    ResultRow,
-    RunConfig,
-    SweepRow,
-    build_parser,
-    main,
-    read_rows,
-    run,
-    sweep,
-    write_rows,
-)
+from eulersum.harness import RunConfig, build_parser, main, run, sweep
 from eulersum.oscillator import MehlerPoint, mehler_kernel, mehler_series, osc_action, osc_h_kernel
 from eulersum.resummation import _BLOCK_MIN, DEFAULT_TERM_BUDGET
+from eulersum.rows import ResultRow, SweepRow, read_rows, write_rows
 from eulersum.square_well import WellKernelPoint, d_kernel, h_kernel, k_kernel, well_action
 
 REPO = Path(__file__).resolve().parent.parent
-CHUNK = eulersum.harness._CHUNK
+CHUNK = eulersum.rows._CHUNK
 
 
 def cli(*args, stdout=subprocess.PIPE):
@@ -1128,7 +1120,7 @@ def test_row_builders_pause_the_collector_and_leave_it_as_they_found_it(tmp_path
     h = eulersum.harness
     monkeypatch.setitem(h._SWEEP_KERNELS, "osc-h", watched(h._SWEEP_KERNELS["osc-h"]))
     for name in ("_format_column", "_parse_column"):
-        monkeypatch.setattr(h, name, watched(getattr(h, name)))
+        monkeypatch.setattr(eulersum.rows, name, watched(getattr(eulersum.rows, name)))
     config = RunConfig(subcommand="sweep", params={"kernel": "osc-h"})
     unformattable = boundary_rows(5000)
     unformattable[4500] = unformattable[4500]._replace(value="abc")

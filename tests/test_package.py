@@ -10,7 +10,7 @@ import pytest
 import eulersum
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-SUBMODULES = ("errors", "harness", "oscillator", "quadrature", "resummation", "square_well", "zeta")
+SUBMODULES = ("errors", "harness", "oscillator", "quadrature", "resummation", "rows", "square_well", "zeta")
 
 
 def fresh(code: str) -> str:

@@ -623,6 +623,19 @@ def test_at_most_the_last_used_power_tables_are_kept():
     assert (float, ts[-1], 1.0) in rs._powers and (float, ts[0], 1.0) not in rs._powers
 
 
+def test_a_second_pass_over_the_longest_well_schedule_rebuilds_no_power_table(monkeypatch):
+    """More tables are kept than the 61 points of the longest schedule (k <= 60
+    and t_0 = 0), so a second pass over the 38 points of well-delta --k-max 40
+    makes no power of t."""
+    assert rs._POWER_TABLES > 61
+    ts = [1.0 - 2.0 ** -k for k in range(1, 39)]
+    well_action_evaluations(1.0, 0, ts, 1e-10)
+    calls, power = [], np.power
+    monkeypatch.setattr(np, "power", lambda *args: calls.append(args[0]) or power(*args))
+    well_action_evaluations(1.0, 0, ts, 1e-10)
+    assert calls == []
+
+
 def evaluation_fields(evaluations):
     return [(e.t, e.value.hex(), e.terms_used, e.tail_bound, e.roundoff_bound) for e in evaluations]
 
