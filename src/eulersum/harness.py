@@ -2,8 +2,8 @@
 
 Each subcommand walks a regulator schedule t_k = 1 - r^k, records one
 result row per k (plus grid coordinates for sweeps) and writes the rows
-to CSV or JSON (``eulersum.rows``).  Rows are deterministic for a given configuration; the
-wall_time_ms column is measured and therefore varies between runs.
+to CSV or JSON through ``eulersum.rows``.  Rows are deterministic for a
+given configuration; the wall_time_ms column is measured and varies.
 
 Exit codes: 0 converged/success, 1 usage or configuration error,
 2 numerical non-convergence or a downstream numerical error (the error

@@ -89,8 +89,8 @@ def _collector_paused(fn):
 def write_rows(path: str, rows: list, output_format: str, row_type=ResultRow) -> None:
     """Serialise rows column by column, _CHUNK at a time; float cells use repr
     so parsing round-trips exactly.  JSON output equals json.dumps(indent=2,
-    sort_keys=True) of {"rows": [...]}; with no rows, of {"columns":
-    [row_type's fields], "rows": []}, so every file names its columns.  A failed
+    sort_keys=True) of {"rows": [...]}; with no rows, of {"columns": [row_type's fields], "rows": []}, so every
+    file names its columns.  A row whose fields are not the first row's raises ValueError naming it.  A failed
     write leaves no new file and an old one whole; links, devices and pipes are written in place,
     and the file that sys.stdout writes to is written through sys.stdout, after what it holds."""
     if output_format not in ("csv", "json"):
