@@ -31,7 +31,7 @@ from . import oscillator as osc
 from . import square_well as sw
 from .errors import DomainError, EulerSumError, InvalidConfig, TailNotBounded
 from .resummation import (_BLOCK_MIN, DEFAULT_TERM_BUDGET, INNER_TOL_FACTOR, EulerLimitConfig, _certified_terms,
-                          _power_table, euler_limit)
+                          _power_table, euler_limit, schedule)
 # Unused here, but perfbench/spans.py wraps harness.abel_eval by name.
 from .resummation import abel_eval
 # run() looks write_rows up here when it writes, and read_rows is unused here,
@@ -138,7 +138,7 @@ class RunConfig:
         # zeta's k-max is a ceiling: euler_limit stops where the schedule
         # saturates, so only its first point past t_0 = 0 must lie below 1.
         k_last = 1 if self.subcommand == "zeta" else self.k_max
-        if 1.0 - self.t_ratio ** k_last == 1.0:
+        if len(schedule(self.t_ratio, k_last)) <= k_last:
             raise InvalidConfig(f"t-ratio {self.t_ratio!r} puts t_{k_last} = 1 - r^{k_last} "
                                 "at 1.0 in double precision")
         # euler_limit stops before a point that would need more than the term
@@ -160,11 +160,6 @@ def _row(k: int, t: float, value: float, reference: Optional[float], wall_ms: fl
     return ResultRow(k=k, t=t, value=value, reference=reference, abs_error=err, wall_time_ms=wall_ms)
 
 
-def _schedule(config: RunConfig) -> list:
-    """The schedule points t_k = 1 - r^k, k = 1 .. k_max."""
-    return [1.0 - config.t_ratio ** k for k in range(1, config.k_max + 1)]
-
-
 def _evaluation_rows(evaluations: list, reference: Optional[float], k0: int) -> list:
     """One row per AbelEvaluation, numbered from k0, timed by its wall_ms."""
     return [_row(k, e.t, e.value, reference, e.wall_ms) for k, e in enumerate(evaluations, k0)]
@@ -175,7 +170,7 @@ def _walk(config: RunConfig, value_at, reference: float) -> list:
     value_at(t_k) and its error against ``reference``.  An EulerSumError
     leaves with the rows made before it as ``rows``."""
     rows = []
-    for k, t_k in enumerate(_schedule(config), 1):
+    for k, t_k in enumerate(schedule(config.t_ratio, config.k_max)[1:], 1):
         start = time.perf_counter()
         try:
             value = value_at(t_k)
@@ -239,8 +234,9 @@ def _run_action(config: RunConfig):
         if not 0.0 < x < sw.PI:
             raise InvalidConfig(f"{config.subcommand} needs 0 < x < pi, got x={x}")
         reference = 1.0 if p else x * (sw.PI - x)
+        ts = schedule(config.t_ratio, config.k_max)[1:]
         try:
-            rows = _evaluation_rows(sw.well_action_evaluations(x, p, _schedule(config), tol), reference, 1)
+            rows = _evaluation_rows(sw.well_action_evaluations(x, p, ts, tol), reference, 1)
         except EulerSumError as exc:
             exc.rows = _evaluation_rows(exc.evaluations, reference, 1)
             raise
@@ -267,7 +263,7 @@ def _run_mehler_check(config: RunConfig):
     xs, tol = np.asarray(_MEHLER_GRID), config.tolerance / 10.0
     sizes = {}  # N at each t_k, up to the first whose tail no term budget bounds
     with contextlib.suppress(TailNotBounded):
-        for t in _schedule(config):
+        for t in schedule(config.t_ratio, config.k_max)[1:]:
             # 0.6667 is above sup_x |phi_n(x)|^2 <= pi^(-1/2) ~ 0.564 for all n (Indritz)
             sizes[t] = max(300, _certified_terms(0.6667, 0.0, t, tol))
     table = osc._hermite_function_table(max((n for n in sizes.values() if n <= _MEHLER_MAX_TERMS),
@@ -303,7 +299,7 @@ def sweep(config: RunConfig, grid) -> list:
         raise InvalidConfig(f"sweep --kernel {kernel_name} needs finite x, y in [{lo:g}, {hi:g}]")
     xs, ys = points.T
     n, nk = xs.size, config.k_max + 1
-    ts, walls, values = [0.0, *_schedule(config)], [], np.empty((n, nk))
+    ts, walls, values = schedule(config.t_ratio, config.k_max), [], np.empty((n, nk))
     for k, t in enumerate(ts):
         start = time.perf_counter()
         values[:, k] = _SWEEP_KERNELS[kernel_name](xs, ys, t)

@@ -64,11 +64,15 @@ def _composite(f: Callable[[np.ndarray], np.ndarray], bp: np.ndarray, nodes: int
 
 
 def eval_test_function(g: Callable, y: np.ndarray) -> np.ndarray:
-    """g at the nodes y, calling g once per node when it is not vectorised."""
-    out = np.asarray(g(y), dtype=np.float64)
-    if out.shape != y.shape:
-        out = np.array([float(g(v)) for v in y], dtype=np.float64)
-    return out
+    """g at the nodes y, calling g once per node when it is not vectorised:
+    when g(y) raises TypeError or ValueError, or is not of y's shape."""
+    try:
+        out = np.asarray(g(y), dtype=np.float64)
+        if out.shape == y.shape:
+            return out
+    except (TypeError, ValueError):  # a scalar-only g, e.g. math.sin or a branch on y
+        pass
+    return np.array([float(g(v)) for v in y], dtype=np.float64)
 
 
 def _split_at_peak(bp: np.ndarray, peak: float, min_width: float) -> np.ndarray:

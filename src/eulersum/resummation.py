@@ -301,6 +301,11 @@ def abel_eval(seq: CoefficientSequence, t: float, tol: float) -> AbelEvaluation:
                                   roundoff_bound=sys.float_info.epsilon * magnitude)
 
 
+def schedule(ratio: float, k_max: int) -> list:
+    """The regulator points t_k = 1 - ratio^k, k = 0 .. k_max, cut before the first that rounds to 1.0."""
+    return list(itertools.takewhile(lambda t: t < 1.0, (1.0 - ratio ** k for k in range(k_max + 1))))
+
+
 @functools.lru_cache(maxsize=256, typed=True)
 def _lagrange_weights(ratio: float, k: int, w: int) -> tuple:
     """L_j(0) for the window of the w nodes u_j = ratio^j, j = k + 1 - w ... k."""
@@ -311,7 +316,7 @@ def _lagrange_weights(ratio: float, k: int, w: int) -> tuple:
 def euler_limit(seq: CoefficientSequence, cfg: Optional[EulerLimitConfig] = None) -> EulerLimitResult:
     """Extract lim_{t->1-} f(t) by polynomial extrapolation in u = 1 - t.
 
-    Walks t_k = 1 - ratio^k, extrapolating through the last _EXTRAPOLATION_ORDER
+    Walks schedule(ratio, k_max), extrapolating through the last _EXTRAPOLATION_ORDER
     points after each evaluation, and stops once the last two extrapolants differ
     by at most ``tolerance``; an extrapolant is sum_j w_j f(t_j), w_j being the
     window's Lagrange weights at u = 0.  Right after that test fails it raises
@@ -325,11 +330,11 @@ def euler_limit(seq: CoefficientSequence, cfg: Optional[EulerLimitConfig] = None
     gives alpha = log(last ratio) / log(1/ratio)); or the extrapolants more
     than double in magnitude three times in a row from a nonzero first one
     (f(0) = 0 is no start) to above 10.  A large f(t_k) is no such evidence.
-    A schedule that ends at k_max, at saturation or at the term budget
-    returns the last extrapolant unconverged, its error estimate the last
-    extrapolant difference (inf with one point).  Each exception, and any
-    EulerSumError raised by abel_eval, carries the evaluations made so far
-    as ``evaluations``.
+    A schedule that ends (at k_max, or before t_k rounds to 1.0) or meets
+    the term budget returns the last extrapolant unconverged, its error
+    estimate the last extrapolant difference (inf with one point).  Each
+    exception, and any EulerSumError raised by abel_eval, carries the
+    evaluations made so far as ``evaluations``.
     """
     if cfg is None:
         cfg = EulerLimitConfig()
@@ -338,10 +343,7 @@ def euler_limit(seq: CoefficientSequence, cfg: Optional[EulerLimitConfig] = None
     evaluations: list = []
     extrapolants: list = []
 
-    for k in range(cfg.k_max + 1):
-        t_k = 1.0 - cfg.ratio ** k
-        if t_k >= 1.0:
-            break  # float saturation of the schedule
+    for k, t_k in enumerate(schedule(cfg.ratio, cfg.k_max)):
         if evaluations and evaluations[-1].terms_used / cfg.ratio > DEFAULT_TERM_BUDGET:
             break  # next evaluation would exceed the term budget
         try:

@@ -238,6 +238,8 @@ def well_action_sequence(x: float, p: int) -> CoefficientSequence:
     return CoefficientSequence(term_block, growth_hint=gamma, bound=scale)
 
 
+# An overflowing a_n is reported by the finite check; numpy's warnings would only repeat it.
+@np.errstate(all="ignore")
 def well_action_evaluations(x: float, p: int, ts, tol: float) -> list:
     """The series of well_action_sequence(x, p) at each t in ts, as
     AbelEvaluations made in one pass over odd n.

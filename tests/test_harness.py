@@ -749,27 +749,6 @@ def test_deep_well_hamiltonian_approaches(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_rows_round_trip(tmp_path, fmt):
-    rows = [
-        ResultRow(k=1, t=0.5, value=1.0 / 3.0, reference=0.25, abs_error=1.0 / 12.0, wall_time_ms=0.125),
-        ResultRow(k=2, t=0.75, value=-1.7e-300, reference=None, abs_error=None, wall_time_ms=3.5),
-    ]
-    path = tmp_path / f"rows.{fmt}"
-    write_rows(str(path), rows, fmt)
-    assert read_rows(str(path)) == rows
-
-
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_sweep_rows_round_trip(tmp_path, fmt):
-    rows = [
-        SweepRow(k=0, t=0.0, value=0.1, reference=None, abs_error=None, wall_time_ms=0.5, x=1.0, y=2.0)
-    ]
-    path = tmp_path / f"sweep.{fmt}"
-    write_rows(str(path), rows, fmt)
-    assert read_rows(str(path)) == rows
-
-
-@pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_a_failed_write_leaves_the_old_file_whole(tmp_path, fmt):
     path = tmp_path / f"rows.{fmt}"
     write_rows(str(path), boundary_rows(3), fmt)
@@ -878,15 +857,6 @@ def test_json_text_is_json_dumps(tmp_path, rows, copies):
     write_rows(str(path), rows, "json")
     expected = json.dumps({"rows": [r._asdict() for r in rows]}, indent=2, sort_keys=True) + "\n"
     assert first_difference(path.read_text(), expected) is None
-
-
-@pytest.mark.parametrize("row_type", [ResultRow, SweepRow])
-def test_empty_json_names_its_columns(tmp_path, row_type):
-    path = tmp_path / "rows.json"
-    write_rows(str(path), [], "json", row_type)
-    expected = json.dumps({"columns": list(row_type._fields), "rows": []}, indent=2, sort_keys=True) + "\n"
-    assert path.read_text() == expected
-    assert read_rows(str(path)) == []
 
 
 def header(path):

@@ -210,6 +210,17 @@ def test_h_kernel_unknown_route():
         osc_h_kernel(MehlerPoint(0.0, 0.0, 0.5), route="bogus")
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: phi_osc(-1, 0.0), DomainError, "n must be >= 0"),
+    (lambda: mehler_series(MehlerPoint(0.0, 0.0, 0.5), -1), DomainError, "n_max must be >= 0"),
+    (lambda: osc_action(0.5, 0.5, np.exp, operator="bogus"), InvalidConfig, "unknown operator 'bogus'"),
+    (lambda: osc_action(math.inf, 0.5, np.exp), DomainError, "x must be finite"),
+], ids=["phi_osc-n", "mehler_series-n_max", "osc_action-operator", "osc_action-x"])
+def test_oscillator_refusals(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
+
+
 def test_t_route_matches_finite_difference_in_t():
     x, y, t, step = 0.4, -0.6, 0.5, 1e-4
     fd = (

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from eulersum.errors import InvalidConfig, QuadratureNotConverged
-from eulersum.quadrature import QuadratureSpec, integrate
+from eulersum.oscillator import osc_action
+from eulersum.quadrature import QuadratureSpec, eval_test_function, integrate
+from eulersum.square_well import well_action
 
 
 def test_sine_integral():
@@ -74,3 +76,21 @@ def test_largest_node_count_accepted():
 def test_empty_interval_rejected():
     with pytest.raises(InvalidConfig):
         integrate(np.sin, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("g", [
+    lambda y: math.sin(y) * math.sin(2 * y),  # g(y) raises TypeError
+    lambda y: y * y if y > 1.0 else 0.0,  # g(y) raises ValueError
+    lambda y: 3.0,  # g(y) is not of y's shape
+], ids=["TypeError", "ValueError", "shape"])
+def test_a_test_function_that_is_not_vectorised_is_called_once_per_node(g):
+    y = np.linspace(0.0, 2.0, 9)
+    assert eval_test_function(g, y).tolist() == [g(v) for v in y.tolist()]
+
+
+@pytest.mark.parametrize("action, x, scalar, vectorised", [
+    (well_action, 1.0, lambda y: math.sin(y) * math.sin(2 * y), lambda y: np.sin(y) * np.sin(2 * y)),
+    (osc_action, 0.5, lambda y: math.exp(-y * y), lambda y: np.exp(-y * y)),
+], ids=["well", "osc"])
+def test_an_action_on_a_scalar_only_test_function_is_its_vectorised_twins(action, x, scalar, vectorised):
+    assert action(x, 0.5, scalar) == pytest.approx(action(x, 0.5, vectorised), rel=1e-12, abs=0.0)

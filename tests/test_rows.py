@@ -1,5 +1,6 @@
 """Result files in their own module: importing it loads no numpy, a row of
-another type is refused, and the CLI writes through harness's binding."""
+another type is refused, the CLI writes through harness's binding, and rows
+read back as written."""
 
 import json
 import math
@@ -14,7 +15,7 @@ import eulersum
 import eulersum.harness
 import eulersum.rows
 from eulersum.harness import main
-from eulersum.rows import ResultRow, SweepRow, write_rows
+from eulersum.rows import ResultRow, SweepRow, read_rows, write_rows
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 CHUNK = eulersum.rows._CHUNK
@@ -66,3 +67,42 @@ def test_main_writes_through_the_write_rows_that_harness_binds_when_it_runs(tmp_
     [(path, rows, fmt, row_type)] = calls
     assert (path, fmt, row_type) == (str(out), "csv", SweepRow) and not out.exists()
     assert len(rows) == 2 * 3 * 7 and {type(r) for r in rows} == {SweepRow}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_rows_round_trip(tmp_path, fmt):
+    rows = [
+        ResultRow(k=1, t=0.5, value=1.0 / 3.0, reference=0.25, abs_error=1.0 / 12.0, wall_time_ms=0.125),
+        ResultRow(k=2, t=0.75, value=-1.7e-300, reference=None, abs_error=None, wall_time_ms=3.5),
+    ]
+    path = tmp_path / f"rows.{fmt}"
+    write_rows(str(path), rows, fmt)
+    assert read_rows(str(path)) == rows
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_rows_round_trip(tmp_path, fmt):
+    rows = [
+        SweepRow(k=0, t=0.0, value=0.1, reference=None, abs_error=None, wall_time_ms=0.5, x=1.0, y=2.0)
+    ]
+    path = tmp_path / f"sweep.{fmt}"
+    write_rows(str(path), rows, fmt)
+    assert read_rows(str(path)) == rows
+
+
+@pytest.mark.parametrize("row_type", [ResultRow, SweepRow])
+def test_empty_json_names_its_columns(tmp_path, row_type):
+    path = tmp_path / "rows.json"
+    write_rows(str(path), [], "json", row_type)
+    expected = json.dumps({"columns": list(row_type._fields), "rows": []}, indent=2, sort_keys=True) + "\n"
+    assert path.read_text() == expected
+    assert read_rows(str(path)) == []
+
+
+def test_json_rows_that_start_past_the_first_read_block_read_back(tmp_path):
+    # "meta" sorts before "rows", so the rows array starts after its 70 000 characters
+    rows = [ResultRow(k=k, t=1.0 - 0.5 ** k, value=k / 3.0, wall_time_ms=0.5) for k in range(1, 4)]
+    assert 70_000 > eulersum.rows._JSON_BLOCK
+    path = tmp_path / "meta.json"
+    path.write_text(json.dumps({"meta": "m" * 70_000, "rows": [r._asdict() for r in rows]}, indent=2, sort_keys=True))
+    assert read_rows(str(path)) == rows

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from eulersum.errors import BoundaryAmbiguous, DomainError, InvalidConfig, TestFunctionBoundary, TNotInUnitInterval
 from eulersum.quadrature import integrate
-from eulersum.resummation import abel_eval
+from eulersum.resummation import abel_eval, euler_limit
 from eulersum.square_well import (
     IntervalIntegralQuery,
     WellKernelPoint,
@@ -343,6 +343,15 @@ def test_action_rejects_x_outside():
         well_action(0.0, 0.5, lambda y: np.sin(np.asarray(y)))
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: k_series(WellKernelPoint(0.3, 0.8, 0.5), 0), DomainError, "n_max must be >= 1"),
+    (lambda: well_action(1.0, 0.5, np.sin, operator="bogus"), InvalidConfig, "unknown operator 'bogus'"),
+], ids=["k_series-n_max", "well_action-operator"])
+def test_square_well_refusals(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
+
+
 @pytest.mark.parametrize("p", [0, 1])
 def test_well_action_sequence_coefficients(p):
     # a_n = E_n^p <phi_n, y(pi - y)> phi_n(x), with the overlap written out
@@ -399,3 +408,12 @@ def test_well_action_pass_refuses_bad_input():
         well_action_evaluations(0.0, 0, [0.5], 1e-10)
     # t = 0 sums no term: f(0) = 0, the series starting at n = 1
     assert well_action_evaluations(1.0, 1, [0.0], 1e-10)[0].value == 0.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_both_well_summers_report_an_overflowing_coefficient_as_a_domain_error():
+    # a_n = (8/pi) 2^-100 sin(n) n^197: n^197 overflows from n = 37, in the first block of each
+    with pytest.raises(DomainError, match="^non-finite coefficient near n=1$"):
+        well_action_evaluations(1.0, 100, [0.5], 1e-8)
+    with pytest.raises(DomainError, match="^non-finite coefficient near n=1$"):
+        euler_limit(well_action_sequence(1.0, 100))

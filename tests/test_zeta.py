@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from eulersum.errors import DomainError, NoEulerSum, PrecisionFloor
+from eulersum.errors import DomainError, InvalidConfig, NoEulerSum, PrecisionFloor
 from eulersum import resummation
 from eulersum.resummation import DEFAULT_TERM_BUDGET, AbelEvaluation, EulerLimitConfig, abel_eval, euler_limit
 from eulersum.zeta import (
@@ -50,6 +50,12 @@ def test_zeta_direct_inside_brute_force_bracket(s):
 def test_zeta_direct_domain(s):
     with pytest.raises(DomainError):
         zeta_direct(s, 1e-8)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-8, math.inf, math.nan])
+def test_zeta_direct_refuses_a_tolerance_that_is_not_finite_and_positive(tol):
+    with pytest.raises(InvalidConfig, match="^tol must be finite and positive$"):
+        zeta_direct(2.0, tol)
 
 
 def test_zeta_euler_at_zero():
